@@ -14,8 +14,8 @@ use malec_types::SimConfig;
 fn main() {
     let configs = SimConfig::figure4_set();
     let insts = malec_bench::insts_budget();
-    let matrix = malec_bench::run_matrix(&configs, insts);
     let benchmarks = all_benchmarks();
+    let matrix = malec_bench::run_matrix(&benchmarks, &configs, insts, None);
 
     println!("\n== Fig. 4a: normalized execution time [%] (lower is better) ==\n");
     let mut t = TextTable::new(

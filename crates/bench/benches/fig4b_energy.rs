@@ -13,8 +13,8 @@ use malec_types::SimConfig;
 fn main() {
     let configs = SimConfig::figure4_set();
     let insts = malec_bench::insts_budget();
-    let matrix = malec_bench::run_matrix(&configs, insts);
     let benchmarks = all_benchmarks();
+    let matrix = malec_bench::run_matrix(&benchmarks, &configs, insts, None);
 
     println!("\n== Fig. 4b: normalized energy consumption [%] (lower is better) ==");
     println!("   each cell: total (dynamic) — leakage is total minus dynamic\n");

@@ -2,17 +2,16 @@
 //!
 //! Runs a fixed workload (the three Table I configurations × eight
 //! representative benchmarks at `DEFAULT_INSTS` instructions, fixed seed)
-//! twice — once through the serial sweep path, once through the parallel
-//! one — plus the scenario workload (the five preset scenarios ×
+//! twice through `run_matrix` — serially (`Some(1)` worker), then with the
+//! `--jobs` cap — plus the scenario workload (the five preset scenarios ×
 //! {Base1ldst, MALEC} at `SCENARIO_INSTS`), and:
 //!
 //! 1. asserts the parallel matrix is **bit-identical** to the serial one;
 //! 2. asserts both — and the scenario cells — match the recorded golden
 //!    digests (`malec_bench::goldens`), so hot-path rewrites provably
 //!    preserve simulated behavior;
-//! 3. writes wall-clock and cells/sec for both paths to
-//!    `BENCH_simulator.json` at the workspace root, tracking the perf
-//!    trajectory from PR 1 onward.
+//! 3. writes wall-clock and cells/sec for both runs to
+//!    `BENCH_simulator.json` in the current working directory.
 //!
 //! Flags: `--record` prints fresh `GOLDEN_DIGESTS` /
 //! `SCENARIO_GOLDEN_DIGESTS` tables instead of checking (use only after an
@@ -23,10 +22,10 @@
 use std::time::Instant;
 
 use malec_bench::goldens::{
-    compare_digest, digest, run_compare_cells_with, run_scenario_cells_with, BENCH_BENCHMARKS,
+    compare_digest, digest, run_compare_cells, run_scenario_cells, BENCH_BENCHMARKS,
     COMPARE_GOLDEN_DIGESTS, GOLDEN_DIGESTS, SCENARIO_GOLDEN_DIGESTS,
 };
-use malec_bench::{run_matrix_on_with, run_matrix_serial_on, DEFAULT_INSTS};
+use malec_bench::{run_matrix, DEFAULT_INSTS};
 use malec_core::compare::CompareStats;
 use malec_core::parallel::workers_for;
 use malec_core::RunSummary;
@@ -241,7 +240,7 @@ fn main() {
     );
 
     let t = Instant::now();
-    let serial = run_matrix_serial_on(&benchmarks, &configs, DEFAULT_INSTS);
+    let serial = run_matrix(&benchmarks, &configs, DEFAULT_INSTS, Some(1));
     let serial_s = t.elapsed().as_secs_f64();
     eprintln!(
         "  serial:   {serial_s:.3}s  ({:.2} cells/s)",
@@ -249,7 +248,7 @@ fn main() {
     );
 
     let t = Instant::now();
-    let parallel = run_matrix_on_with(&benchmarks, &configs, DEFAULT_INSTS, jobs);
+    let parallel = run_matrix(&benchmarks, &configs, DEFAULT_INSTS, jobs);
     let parallel_s = t.elapsed().as_secs_f64();
     eprintln!(
         "  parallel: {parallel_s:.3}s  ({:.2} cells/s, {:.2}x)",
@@ -270,7 +269,7 @@ fn main() {
     }
 
     let t = Instant::now();
-    let scenario_cells = run_scenario_cells_with(jobs);
+    let scenario_cells = run_scenario_cells(jobs);
     let scenario_s = t.elapsed().as_secs_f64();
     eprintln!(
         "  scenarios: {scenario_s:.3}s  ({} cells at {} insts)",
@@ -279,7 +278,7 @@ fn main() {
     );
 
     let t = Instant::now();
-    let compare_cells = run_compare_cells_with(jobs);
+    let compare_cells = run_compare_cells(jobs);
     let compare_s = t.elapsed().as_secs_f64();
     eprintln!(
         "  compares: {compare_s:.3}s  ({} paired presets, {} shared seeds at {} insts)",
@@ -306,7 +305,7 @@ fn main() {
         "ok"
     };
 
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simulator.json");
+    let out = "BENCH_simulator.json";
     write_json(
         out,
         &serial,

@@ -18,11 +18,8 @@
 //! and replace the [`GOLDEN_DIGESTS`] table with the printed one.
 
 use malec_core::compare::{Alpha, CompareStats};
-use malec_core::parallel::{parallel_map_with, workers_for};
-use malec_core::stats::replicate_seed;
-use malec_core::{RunSummary, ScenarioSource, Simulator};
+use malec_core::{run_plan, CellGroup, RunSummary, ScenarioSource, StoppingRule};
 use malec_trace::scenario::presets;
-use malec_trace::Scenario;
 use malec_types::SimConfig;
 
 /// The eight representative benchmarks of the fixed workload: four
@@ -44,37 +41,34 @@ pub fn scenario_configs() -> Vec<SimConfig> {
     vec![SimConfig::base1ldst(), SimConfig::malec()]
 }
 
-/// The scenario golden workload: every preset scenario under every
-/// [`scenario_configs`] entry, scenario-major, at [`SCENARIO_INSTS`]
-/// instructions and the fixed [`crate::DEFAULT_SEED`].
-pub fn run_scenario_cells() -> Vec<RunSummary> {
-    run_scenario_cells_with(None)
+/// Every preset scenario under every [`scenario_configs`] entry,
+/// scenario-major, at `insts` instructions and [`crate::DEFAULT_SEED`].
+fn scenario_plan(insts: u64) -> Vec<CellGroup> {
+    presets()
+        .into_iter()
+        .flat_map(|scenario| {
+            scenario_configs().into_iter().map(move |config| CellGroup {
+                config,
+                source: ScenarioSource::Scenario(scenario.clone()),
+                insts,
+                seed: crate::DEFAULT_SEED,
+            })
+        })
+        .collect()
 }
 
-/// [`run_scenario_cells`] with an operator-imposed worker cap (`--jobs N`).
-pub fn run_scenario_cells_with(jobs: Option<usize>) -> Vec<RunSummary> {
-    let cells: Vec<(Scenario, SimConfig)> = presets()
-        .into_iter()
-        .flat_map(|s| {
-            scenario_configs()
-                .into_iter()
-                .map(move |cfg| (s.clone(), cfg))
-        })
-        .collect();
-    let workers = workers_for(cells.len(), jobs);
-    parallel_map_with(
-        cells,
-        |(scenario, cfg)| {
-            Simulator::new(cfg.clone())
-                .run_source(
-                    &ScenarioSource::Scenario(scenario.clone()),
-                    SCENARIO_INSTS,
-                    crate::DEFAULT_SEED,
-                )
-                .expect("generator sources cannot fail")
-        },
-        workers,
+/// The scenario golden workload: [`scenario_plan`] at [`SCENARIO_INSTS`],
+/// one seed per cell, fanned out over at most `jobs` workers (`--jobs N`).
+pub fn run_scenario_cells(jobs: Option<usize>) -> Vec<RunSummary> {
+    run_plan(
+        &scenario_plan(SCENARIO_INSTS),
+        &StoppingRule::fixed(1),
+        jobs,
     )
+    .expect("generator sources cannot fail")
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// The digest implementation moved to `malec_core::digest` in PR 3 so
@@ -100,42 +94,19 @@ pub const COMPARE_SEEDS: u32 = 3;
 /// shared seeds at [`COMPARE_INSTS`] instructions, the fixed
 /// [`crate::DEFAULT_SEED`], and `alpha = 0.05`. Returns `(preset name,
 /// comparison)` in preset order.
-pub fn run_compare_cells_with(jobs: Option<usize>) -> Vec<(String, CompareStats)> {
-    let scenarios = presets();
-    // One flat fan-out over (preset, side, replicate); the pairing is
-    // reassembled below, so the schedule never touches the statistics.
-    let cells: Vec<(usize, SimConfig, u32)> = (0..scenarios.len())
-        .flat_map(|s| {
-            scenario_configs()
-                .into_iter()
-                .flat_map(move |cfg| (0..COMPARE_SEEDS).map(move |r| (s, cfg.clone(), r)))
-        })
-        .collect();
-    let workers = workers_for(cells.len(), jobs);
-    let summaries = parallel_map_with(
-        cells.clone(),
-        |(s, cfg, r)| {
-            Simulator::new(cfg.clone())
-                .run_source(
-                    &ScenarioSource::Scenario(scenarios[*s].clone()),
-                    COMPARE_INSTS,
-                    replicate_seed(crate::DEFAULT_SEED, *r),
-                )
-                .expect("generator sources cannot fail")
-        },
-        workers,
-    );
-    let per_preset = 2 * COMPARE_SEEDS as usize;
-    scenarios
-        .iter()
-        .enumerate()
-        .map(|(s, scenario)| {
-            let chunk = &summaries[s * per_preset..(s + 1) * per_preset];
-            let (base, cand) = chunk.split_at(COMPARE_SEEDS as usize);
-            (
-                scenario.name.clone(),
-                CompareStats::from_pairs(base, cand, COMPARE_SEEDS, Alpha::Five),
-            )
+pub fn run_compare_cells(jobs: Option<usize>) -> Vec<(String, CompareStats)> {
+    let groups = run_plan(
+        &scenario_plan(COMPARE_INSTS),
+        &StoppingRule::fixed(COMPARE_SEEDS),
+        jobs,
+    )
+    .expect("generator sources cannot fail");
+    presets()
+        .into_iter()
+        .zip(groups.chunks(scenario_configs().len()))
+        .map(|(scenario, sides)| {
+            let stats = CompareStats::from_pairs(&sides[0], &sides[1], COMPARE_SEEDS, Alpha::Five);
+            (scenario.name, stats)
         })
         .collect()
 }
@@ -188,7 +159,7 @@ pub const SCENARIO_GOLDEN_DIGESTS: &[(&str, &str, u64)] = &[
 ];
 
 /// `(preset scenario, compare digest)` per compare golden cell
-/// ([`run_compare_cells_with`] order): the paired Base1ldst-vs-MALEC delta
+/// ([`run_compare_cells`] order): the paired Base1ldst-vs-MALEC delta
 /// blocks of each preset, digested bit-exactly ([`compare_digest`] folds
 /// every delta mean, CI width, relative improvement and verdict). Recorded
 /// at [`COMPARE_INSTS`] / [`COMPARE_SEEDS`] / [`crate::DEFAULT_SEED`] /
@@ -206,6 +177,8 @@ pub const COMPARE_GOLDEN_DIGESTS: &[(&str, u64)] = &[
 mod tests {
     use super::*;
     use crate::{run_one, DEFAULT_SEED};
+    use malec_core::stats::replicate_seed;
+    use malec_core::Simulator;
     use malec_trace::all_benchmarks;
     use malec_types::SimConfig;
 
@@ -229,34 +202,27 @@ mod tests {
         // The replication engine's core compatibility promise: replicate 0
         // of a multi-seed sweep is the legacy single-seed run, bit for bit
         // — checked here directly against the recorded golden table.
-        use malec_core::stats::Replication;
-        use malec_core::sweep::{ParameterSweep, SweepPoint};
         use malec_trace::scenario::preset_named;
 
         let scenario = preset_named("store_burst").expect("preset");
-        let points = vec![SweepPoint {
-            label: "MALEC".to_owned(),
+        let plan = [CellGroup {
             config: SimConfig::malec(),
+            source: ScenarioSource::Scenario(scenario),
+            insts: SCENARIO_INSTS,
+            seed: DEFAULT_SEED,
         }];
-        let out = ParameterSweep::run_source_replicated(
-            &points,
-            &ScenarioSource::Scenario(scenario),
-            SCENARIO_INSTS,
-            DEFAULT_SEED,
-            &Replication::fixed(3),
-            None,
-        );
+        let out = run_plan(&plan, &StoppingRule::fixed(3), None).expect("generator runs");
         let &(_, _, golden) = SCENARIO_GOLDEN_DIGESTS
             .iter()
             .find(|&&(s, c, _)| s == "store_burst" && c == "MALEC")
             .expect("golden cell exists");
         assert_eq!(
-            digest(&out[0].replicates[0]),
+            digest(&out[0][0]),
             golden,
             "replicate 0 must reproduce the recorded golden digest"
         );
         assert_ne!(
-            digest(&out[0].replicates[1]),
+            digest(&out[0][1]),
             golden,
             "replicate 1 runs a genuinely different seed"
         );
@@ -305,6 +271,17 @@ mod tests {
             golden,
             "store_burst: paired deltas must reproduce the recorded compare golden"
         );
+    }
+
+    #[test]
+    fn scenario_plan_lists_cells_in_golden_table_order() {
+        let plan = scenario_plan(1_234);
+        assert_eq!(plan.len(), SCENARIO_GOLDEN_DIGESTS.len());
+        for (group, &(scenario, config, _)) in plan.iter().zip(SCENARIO_GOLDEN_DIGESTS) {
+            assert_eq!(group.source.name(), scenario);
+            assert_eq!(group.config.label(), config);
+            assert_eq!((group.insts, group.seed), (1_234, DEFAULT_SEED));
+        }
     }
 
     #[test]

@@ -5,11 +5,8 @@
 //! benchmark profiles over the five analyzed configurations — lives here so
 //! the individual benches stay declarative.
 
-use malec_core::parallel::{parallel_map_with, workers_for};
 use malec_core::report::geo_mean;
-use malec_core::RunSummary;
-use malec_core::Simulator;
-use malec_trace::all_benchmarks;
+use malec_core::{run_plan, CellGroup, RunSummary, ScenarioSource, Simulator, StoppingRule};
 use malec_trace::profile::{BenchmarkProfile, Suite};
 use malec_types::SimConfig;
 
@@ -28,80 +25,38 @@ pub fn run_one(config: &SimConfig, profile: &BenchmarkProfile, insts: u64) -> Ru
     Simulator::new(config.clone()).run(profile, insts, DEFAULT_SEED)
 }
 
-/// Runs every benchmark under every given configuration:
-/// `result[bench_idx][config_idx]`.
+/// Runs every benchmark under every given configuration at
+/// [`DEFAULT_SEED`]: `result[bench_idx][config_idx]`.
 ///
 /// Every `(benchmark, config)` cell is an independent, seeded simulation,
-/// so the full matrix fans out across all available cores; the result is
-/// bit-identical to [`run_matrix_serial`] regardless of scheduling (each
-/// cell writes its own slot).
-pub fn run_matrix(configs: &[SimConfig], insts: u64) -> Vec<Vec<RunSummary>> {
-    run_matrix_on(&all_benchmarks(), configs, insts)
-}
-
-/// [`run_matrix`] restricted to the given benchmark subset.
-pub fn run_matrix_on(
-    benchmarks: &[BenchmarkProfile],
-    configs: &[SimConfig],
-    insts: u64,
-) -> Vec<Vec<RunSummary>> {
-    run_matrix_on_with(benchmarks, configs, insts, None)
-}
-
-/// [`run_matrix_on`] with an operator-imposed worker cap (the `--jobs N`
-/// flag): `None` uses every available core, `Some(n)` fans out over at most
-/// `n` workers. The result is bit-identical either way.
-pub fn run_matrix_on_with(
+/// so the matrix is one cell plan fanned out over at most `jobs` workers
+/// (`None`: every available core; `Some(1)`: serial). The result is
+/// bit-identical at any cap (each cell writes its own slot).
+pub fn run_matrix(
     benchmarks: &[BenchmarkProfile],
     configs: &[SimConfig],
     insts: u64,
     jobs: Option<usize>,
 ) -> Vec<Vec<RunSummary>> {
-    let cells: Vec<(&BenchmarkProfile, &SimConfig)> = benchmarks
+    let plan: Vec<CellGroup> = benchmarks
         .iter()
-        .flat_map(|profile| configs.iter().map(move |config| (profile, config)))
+        .flat_map(|profile| {
+            configs.iter().map(move |config| CellGroup {
+                config: config.clone(),
+                source: ScenarioSource::Profile(profile.clone()),
+                insts,
+                seed: DEFAULT_SEED,
+            })
+        })
         .collect();
-    let workers = workers_for(cells.len(), jobs);
-    let summaries = parallel_map_with(
-        cells,
-        |(profile, config)| run_one(config, profile, insts),
-        workers,
-    );
-    rows_of(summaries, configs.len())
-}
-
-/// The serial reference path (kept for speedup measurement and as the
-/// ground truth the parallel matrix is compared against).
-pub fn run_matrix_serial(configs: &[SimConfig], insts: u64) -> Vec<Vec<RunSummary>> {
-    run_matrix_serial_on(&all_benchmarks(), configs, insts)
-}
-
-/// [`run_matrix_serial`] restricted to the given benchmark subset.
-pub fn run_matrix_serial_on(
-    benchmarks: &[BenchmarkProfile],
-    configs: &[SimConfig],
-    insts: u64,
-) -> Vec<Vec<RunSummary>> {
+    let mut cells = run_plan(&plan, &StoppingRule::fixed(1), jobs)
+        .expect("profile sources cannot fail")
+        .into_iter()
+        .flatten();
     benchmarks
         .iter()
-        .map(|profile| {
-            configs
-                .iter()
-                .map(|config| run_one(config, profile, insts))
-                .collect()
-        })
+        .map(|_| cells.by_ref().take(configs.len()).collect())
         .collect()
-}
-
-/// Chunks a flat row-major cell list back into per-benchmark rows.
-fn rows_of(summaries: Vec<RunSummary>, row_len: usize) -> Vec<Vec<RunSummary>> {
-    debug_assert!(row_len > 0 && summaries.len().is_multiple_of(row_len));
-    let mut rows = Vec::with_capacity(summaries.len() / row_len);
-    let mut it = summaries.into_iter();
-    while it.len() > 0 {
-        rows.push(it.by_ref().take(row_len).collect());
-    }
-    rows
 }
 
 /// Per-suite and overall geometric means of a per-benchmark series, in the
@@ -135,6 +90,7 @@ pub fn insts_budget() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use malec_trace::all_benchmarks;
     use malec_trace::profile::Suite;
 
     #[test]
@@ -164,8 +120,8 @@ mod tests {
     fn jobs_capped_matrix_is_bit_identical() {
         let benches: Vec<_> = all_benchmarks().into_iter().take(2).collect();
         let configs = [SimConfig::base1ldst(), SimConfig::malec()];
-        let free = run_matrix_on_with(&benches, &configs, 2_000, None);
-        let capped = run_matrix_on_with(&benches, &configs, 2_000, Some(1));
+        let free = run_matrix(&benches, &configs, 2_000, None);
+        let capped = run_matrix(&benches, &configs, 2_000, Some(1));
         for (frow, crow) in free.iter().zip(&capped) {
             for (f, c) in frow.iter().zip(crow) {
                 assert_eq!(crate::goldens::digest(f), crate::goldens::digest(c));
@@ -174,17 +130,49 @@ mod tests {
     }
 
     #[test]
+    fn matrix_rows_follow_benchmarks_and_columns_follow_configs() {
+        let mut benches: Vec<_> = all_benchmarks().into_iter().take(2).collect();
+        benches.reverse();
+        let configs = [
+            SimConfig::malec(),
+            SimConfig::base1ldst(),
+            SimConfig::base2ld1st(),
+        ];
+        let matrix = run_matrix(&benches, &configs, 1_000, Some(2));
+        assert_eq!(matrix.len(), 2);
+        for (profile, row) in benches.iter().zip(&matrix) {
+            let labels: Vec<&str> = row.iter().map(|s| s.config.as_str()).collect();
+            assert_eq!(labels, ["MALEC", "Base1ldst", "Base2ld1st"]);
+            assert!(row.iter().all(|s| s.benchmark == profile.name));
+            assert!(row.iter().all(|s| s.core.committed == 1_000));
+        }
+    }
+
+    #[test]
+    fn an_empty_axis_gives_an_empty_matrix() {
+        let benches: Vec<_> = all_benchmarks().into_iter().take(2).collect();
+        let configs = [SimConfig::malec()];
+        assert!(run_matrix(&[], &configs, 1_000, None).is_empty());
+        let rows = run_matrix(&benches, &[], 1_000, None);
+        assert_eq!(rows.len(), 2, "one row per benchmark");
+        assert!(rows.iter().all(Vec::is_empty));
+    }
+
+    #[test]
     fn parallel_matrix_matches_serial_bit_for_bit() {
+        // The reference is a plain serial loop over `run_one`, outside the
+        // plan driver entirely.
         let benches: Vec<_> = all_benchmarks().into_iter().take(3).collect();
         let configs = [SimConfig::base1ldst(), SimConfig::malec()];
-        let serial = run_matrix_serial_on(&benches, &configs, 3_000);
-        let parallel = run_matrix_on(&benches, &configs, 3_000);
-        assert_eq!(serial.len(), parallel.len());
-        for (srow, prow) in serial.iter().zip(&parallel) {
-            for (s, p) in srow.iter().zip(prow) {
+        let parallel = run_matrix(&benches, &configs, 3_000, Some(4));
+        assert_eq!(benches.len(), parallel.len());
+        for (profile, prow) in benches.iter().zip(&parallel) {
+            assert_eq!(configs.len(), prow.len());
+            for (config, p) in configs.iter().zip(prow) {
+                let s = run_one(config, profile, 3_000);
                 assert_eq!(s.benchmark, p.benchmark);
                 assert_eq!(s.config, p.config);
-                assert_eq!(crate::goldens::digest(s), crate::goldens::digest(p));
+                assert_eq!(crate::goldens::digest(&s), crate::goldens::digest(p));
             }
         }
     }

@@ -11,17 +11,17 @@
 //! simulate for the same spec, which is what makes a local `compare`
 //! bit-identical to `GET /v1/jobs/<id>/compare` on a submitted copy).
 //! Under a `ci_target` the pair stops spawning shared seeds once the
-//! paired CI half-width on the target metric's delta converges — the
-//! stopping rule is a pure function of the ordered pair prefix, so serial,
-//! `--jobs N`, and server runs all stop at identical counts.
+//! paired CI half-width on the target metric's delta converges. That is
+//! the spec's one stopping rule ([`SweepSpec::stopping_rule`]), a pure
+//! function of the ordered pair prefix, so serial, `--jobs N`, `malec-cli
+//! run` and server runs all stop at identical counts.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use malec_core::compare::{paired_rounds, CompareStats, PairSide};
+use malec_core::compare::CompareStats;
 use malec_core::parallel::workers_for;
-use malec_core::stats::replicate_seed;
-use malec_core::{RunSummary, ScenarioSource, Simulator};
+use malec_core::{run_plan, RunSummary};
 
 use malec_serve::report::{render_compare, CompareReportMeta};
 use malec_serve::spec::{parse_spec, SweepSpec};
@@ -64,25 +64,13 @@ pub fn compare_parsed_spec(
     jobs: Option<usize>,
 ) -> Result<CompareOutcome, String> {
     let resolved = spec.resolve_compare().map_err(|e| e.to_string())?;
-    let source = ScenarioSource::Scenario(spec.scenario.clone());
+    let (plan, rule) = spec.plan(&[resolved.baseline, resolved.candidate]);
     let rep = spec.replication;
-    let workers = workers_for(2 * rep.initial_count() as usize, jobs);
+    let workers = workers_for(plan.len() * rule.initial_count() as usize, jobs);
     let t = Instant::now();
-    let (baseline, candidate) = paired_rounds(
-        &rep,
-        resolved.alpha,
-        jobs,
-        |side, r| {
-            let cfg = match side {
-                PairSide::Baseline => &spec.configs[resolved.baseline],
-                PairSide::Candidate => &spec.configs[resolved.candidate],
-            };
-            Simulator::new(cfg.clone())
-                .run_source(&source, spec.insts, replicate_seed(spec.seed, r))
-                .map_err(|e| format!("{}: generator run: {e}", cfg.label()))
-        },
-        |s| s,
-    )?;
+    let mut sides = run_plan(&plan, &rule, jobs)?;
+    let candidate = sides.pop().expect("two sides");
+    let baseline = sides.pop().expect("two sides");
     let wall_seconds = t.elapsed().as_secs_f64();
     let stats = CompareStats::from_pairs(&baseline, &candidate, rep.seeds, resolved.alpha);
     let json = render_compare(
@@ -204,6 +192,39 @@ mod tests {
             malec_core::compare::compare_digest(&parallel.stats),
             "fan-out must not leak into the deltas"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compare_runs_only_the_pair_of_a_wider_sweep() {
+        let dir = std::env::temp_dir().join("malec_cli_compare_subset");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let extra = "configs = [\"Base2ld1st\", \"MALEC\", \"Base1ldst\"]\n\
+                     min_seeds = 2\nci_target = 0.05\n";
+        let outcome =
+            compare_parsed_spec(demo_spec(8, extra), "inline", &dir, Some(2)).expect("compare");
+        assert!(outcome.baseline.iter().all(|s| s.config == "Base1ldst"));
+        assert!(outcome.candidate.iter().all(|s| s.config == "MALEC"));
+        // The pair keeps its joint rule inside the wider sweep, so the
+        // local run of the same spec stops it at the same count.
+        let run =
+            crate::run::run_parsed_spec(demo_spec(8, extra), "inline", &dir, Some(2)).expect("run");
+        assert_eq!(outcome.baseline.len(), run.replicates[2].len());
+        assert_eq!(outcome.candidate.len(), run.replicates[1].len());
+        assert_eq!(outcome.stats.n as usize, outcome.baseline.len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compare_and_run_simulate_the_same_replicates() {
+        let dir = std::env::temp_dir().join("malec_cli_compare_cells");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let outcome = compare_parsed_spec(demo_spec(3, ""), "inline", &dir, None).expect("compare");
+        let run = crate::run::run_parsed_spec(demo_spec(3, ""), "inline", &dir, None).expect("run");
+        let digests =
+            |reps: &[RunSummary]| -> Vec<u64> { reps.iter().map(malec_core::digest).collect() };
+        assert_eq!(digests(&outcome.baseline), digests(&run.replicates[0]));
+        assert_eq!(digests(&outcome.candidate), digests(&run.replicates[1]));
         std::fs::remove_dir_all(&dir).ok();
     }
 

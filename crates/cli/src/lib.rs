@@ -1,9 +1,8 @@
 //! `malec-cli` — the TOML-driven scenario sweep runner and `malec-serve`
 //! client.
 //!
-//! The spec language, TOML parser and report schema moved to `malec-serve`
-//! in PR 3 (a submitted job *is* a spec, so the service owns the format);
-//! they are re-exported here under their historical paths. What remains
+//! The spec language, TOML parser and report schema live in `malec-serve`
+//! (a submitted job *is* a spec, so the service owns the format). What is
 //! native to this crate:
 //!
 //! * [`run`] — the local record → sweep → replay-verify pipeline behind
@@ -15,7 +14,3 @@
 
 pub mod compare;
 pub mod run;
-
-pub use malec_serve::report;
-pub use malec_serve::spec;
-pub use malec_serve::toml;

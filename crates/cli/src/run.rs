@@ -4,12 +4,12 @@
 //!
 //! 1. **Record** — generate the scenario's instruction stream once (under
 //!    the base seed) and stream it into the spec's `.mtr` file;
-//! 2. **Sweep** — fan `(configuration, replicate)` cells out over
-//!    [`parallel_map_with`] (capped by the operator's `--jobs N`, if
-//!    given); replicate `i` simulates the generator stream under
-//!    `replicate_seed(seed, i)`, and with a `ci_target` a configuration
-//!    stops spawning replicates once the target metric's relative 95 % CI
-//!    half-width converges (never before `min_seeds`);
+//! 2. **Sweep** — run the spec's cell plan ([`SweepSpec::plan`]) through
+//!    [`run_plan`], capped by the operator's `--jobs N`, if given;
+//!    replicate `i` simulates the generator stream under
+//!    `replicate_seed(seed, i)`, and with a `ci_target` the spec's
+//!    stopping rule (the same one `malec-serve` applies) decides when each
+//!    configuration — or the explicit `[compare]` pair, jointly — stops;
 //! 3. **Replay-verify** — replicate 0 of each configuration (the recorded
 //!    seed) also simulates the `.mtr` stream and both summaries are
 //!    digested: replay must be bit-identical to generation, every config;
@@ -23,9 +23,8 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use malec_core::parallel::workers_for;
-use malec_core::stats::{replicate_seed, ReplicateStats};
-use malec_core::sweep::replicate_rounds;
-use malec_core::{RunSummary, ScenarioSource, Simulator};
+use malec_core::stats::ReplicateStats;
+use malec_core::{run_plan, CellGroup, RunSummary, ScenarioSource, StoppingRule};
 use malec_trace::TraceWriter;
 
 use malec_serve::report::{render, CellResult, ReportMeta};
@@ -104,60 +103,39 @@ pub fn run_parsed_spec(
     let out_path = base_dir.join(&spec.out);
     record_trace(&spec, &mtr_path)?;
 
-    let replay = ScenarioSource::Replay {
-        name: spec.scenario.name.clone(),
-        path: mtr_path.clone(),
-    };
-    let generate = ScenarioSource::Scenario(spec.scenario.clone());
-    let configs = spec.configs.clone();
+    let all: Vec<usize> = (0..spec.configs.len()).collect();
+    let (plan, rule) = spec.plan(&all);
+    // Replicate 0 of every config (the recorded seed) replayed from the
+    // .mtr: one seed per group, whatever the sweep's replication.
+    let replays: Vec<CellGroup> = plan
+        .iter()
+        .map(|g| CellGroup {
+            source: ScenarioSource::Replay {
+                name: spec.scenario.name.clone(),
+                path: mtr_path.clone(),
+            },
+            ..g.clone()
+        })
+        .collect();
     let rep = spec.replication;
-    let workers = workers_for(configs.len() * rep.initial_count() as usize, jobs);
+    let workers = workers_for(plan.len() * rule.initial_count() as usize, jobs);
     let t = Instant::now();
-
-    // Shared round-based replicate driver (see `replicate_rounds`): each
-    // replicate produces its generator summary, and replicate 0 — the
-    // recorded seed — additionally verifies the .mtr replay reproduces the
-    // generator stream bit for bit. The per-config count is a pure
-    // function of the ordered replicate prefix, so results are
-    // bit-identical at any --jobs cap.
-    let rounds: Vec<Vec<(RunSummary, Option<RunSummary>)>> = replicate_rounds(
-        configs.len(),
-        &rep,
-        jobs,
-        |c, r| {
-            let cfg = &configs[c];
-            let sim = Simulator::new(cfg.clone());
-            let seed = replicate_seed(spec.seed, r);
-            let generated = sim
-                .run_source(&generate, spec.insts, seed)
-                .map_err(|e| format!("{}: generator run: {e}", cfg.label()))?;
-            let replayed = if r == 0 {
-                Some(
-                    sim.run_source(&replay, spec.insts, seed)
-                        .map_err(|e| format!("{}: replay run: {e}", cfg.label()))?,
-                )
-            } else {
-                None
-            };
-            Ok::<_, String>((generated, replayed))
-        },
-        |pair| &pair.0,
-    )?;
+    let replicates = run_plan(&plan, &rule, jobs)?;
+    let replayed = run_plan(&replays, &StoppingRule::fixed(1), jobs)?;
     let wall_seconds = t.elapsed().as_secs_f64();
 
-    let mut replicates: Vec<Vec<RunSummary>> = Vec::with_capacity(configs.len());
-    let mut cells: Vec<CellResult> = Vec::with_capacity(configs.len());
-    for pairs in rounds {
-        let replayed = pairs[0].1.clone().expect("replicate 0 always replays");
-        let reps: Vec<RunSummary> = pairs.into_iter().map(|(generated, _)| generated).collect();
-        let cell = CellResult::new(reps[0].clone(), &replayed);
-        cells.push(if rep.replicated() {
-            cell.with_stats(ReplicateStats::from_replicates(&reps, rep.seeds))
-        } else {
-            cell
-        });
-        replicates.push(reps);
-    }
+    let cells: Vec<CellResult> = replicates
+        .iter()
+        .zip(&replayed)
+        .map(|(reps, replay)| {
+            let cell = CellResult::new(reps[0].clone(), &replay[0]);
+            if rep.replicated() {
+                cell.with_stats(ReplicateStats::from_replicates(reps, rep.seeds))
+            } else {
+                cell
+            }
+        })
+        .collect();
 
     let json = render(
         &ReportMeta {
@@ -232,6 +210,25 @@ mod tests {
         let json = std::fs::read_to_string(&outcome.out_path).expect("report written");
         assert!(json.contains("\"replay_matches_generator\": true"));
         assert!(json.contains("malec_scenario_sweep"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replicated_runs_replay_replicate_zero_and_aggregate_every_replicate() {
+        let dir = std::env::temp_dir().join("malec_cli_run_replicated");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let doc = "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
+                   [sweep]\nconfigs = [\"Base1ldst\", \"MALEC\"]\ninsts = 2000\nseed = 11\nseeds = 3\n\
+                   [report]\nout = \"cli_reps.json\"\nmtr = \"cli_reps.mtr\"\n";
+        let spec = parse_spec(doc).expect("spec parses");
+        let outcome = run_parsed_spec(spec, "inline", &dir, Some(2)).expect("run succeeds");
+        assert!(outcome.all_replays_match(), "the .mtr holds replicate 0");
+        for (cell, reps) in outcome.cells.iter().zip(&outcome.replicates) {
+            assert_eq!(reps.len(), 3, "no target: every seed runs");
+            assert_eq!(cell.digest, malec_core::digest(&reps[0]));
+            let stats = cell.stats.as_ref().expect("replicated cells carry stats");
+            assert_eq!((stats.n, stats.saved), (3, 0));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

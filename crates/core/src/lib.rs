@@ -47,6 +47,7 @@ pub mod metrics;
 pub mod mmu;
 pub mod parallel;
 pub mod pending;
+pub mod plan;
 pub mod report;
 pub mod sbmb;
 pub mod segmented_wt;
@@ -62,6 +63,7 @@ pub use compare::{Alpha, CompareStats, DeltaSummary, PairedSample, Verdict};
 pub use digest::{digest, read_summary, summary_to_bytes, write_summary};
 pub use malec::MalecInterface;
 pub use metrics::{InterfaceStats, RunSummary};
+pub use plan::{run_plan, CellGroup, StoppingRule};
 pub use sim::Simulator;
 pub use source::ScenarioSource;
 pub use stats::{CiMetric, MetricSummary, ReplicateStats, Replication, Welford};

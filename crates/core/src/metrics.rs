@@ -1,13 +1,11 @@
 //! Per-run statistics: what the interfaces measure and what a finished run
 //! reports.
 
-use serde::Serialize;
-
 use malec_cpu::CoreStats;
 use malec_energy::{EnergyBreakdown, EnergyCounters};
 
 /// Counters maintained by an L1 data interface implementation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct InterfaceStats {
     /// Loads serviced (data returned).
     pub loads_serviced: u64,
@@ -66,7 +64,7 @@ impl InterfaceStats {
 }
 
 /// Everything one simulation run produces.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RunSummary {
     /// Configuration label (e.g. `MALEC_3cycleL1`).
     pub config: String,

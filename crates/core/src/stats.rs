@@ -11,9 +11,9 @@
 //! replicate counts get honestly wide intervals instead of the normal
 //! approximation's false confidence.
 //!
-//! [`Replication`] is the shared policy object the sweep drivers
-//! (`ParameterSweep::run_source_replicated`, `malec-cli run`, the
-//! `malec-serve` scheduler) consult: how many replicates to launch up
+//! [`Replication`] is the policy object behind every driver's stopping
+//! rule ([`crate::plan::StoppingRule`], shared by `malec-cli` and the
+//! `malec-serve` scheduler): how many replicates to launch up
 //! front, and — given the replicate summaries produced so far, in replicate
 //! order — whether the target metric's relative CI half-width has fallen
 //! below `ci_target` so the remaining replicates can be skipped. The
@@ -489,6 +489,7 @@ mod tests {
 
         /// Welford agrees with the naive two-pass computation on arbitrary
         /// samples (within floating-point slack scaled to the magnitude).
+        #[test]
         fn welford_matches_two_pass(raw in proptest::collection::vec(0u64..1_000_000, 2..40)) {
             let xs: Vec<f64> = raw.iter().map(|&v| v as f64 / 997.0 - 300.0).collect();
             let mut w = Welford::new();

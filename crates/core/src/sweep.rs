@@ -9,12 +9,8 @@
 use malec_types::config::SimConfig;
 use malec_types::geometry::CacheGeometry;
 
-use crate::metrics::RunSummary;
-use crate::parallel::{parallel_map, parallel_map_with, workers_for};
-use crate::sim::Simulator;
+use crate::plan::CellGroup;
 use crate::source::ScenarioSource;
-use crate::stats::{replicate_seed, ReplicateStats, Replication};
-use malec_trace::profile::BenchmarkProfile;
 
 /// One point of a parameter sweep.
 #[derive(Clone, Debug)]
@@ -108,198 +104,69 @@ impl ParameterSweep {
             .collect()
     }
 
-    /// Runs every point of a sweep on one benchmark, one point per worker
-    /// (each point is an independent seeded simulation; the output order
-    /// matches `points` no matter how the work was scheduled).
-    pub fn run(
-        points: &[SweepPoint],
-        profile: &BenchmarkProfile,
-        insts: u64,
-        seed: u64,
-    ) -> Vec<(String, RunSummary)> {
-        Self::run_source(
-            points,
-            &ScenarioSource::Profile(profile.clone()),
-            insts,
-            seed,
-        )
-    }
-
-    /// [`ParameterSweep::run`] over any workload source — a profile, a
-    /// composed scenario, or a replayed `.mtr` trace. Replay sources are
-    /// re-opened per point, so the fan-out stays embarrassingly parallel.
+    /// Lowers a sweep to a cell plan: one group per point over `source`
+    /// at `insts` instructions and base seed `seed`, in point order (run
+    /// it with [`crate::plan::run_plan`]).
     ///
-    /// # Panics
+    /// ```
+    /// use malec_core::sweep::ParameterSweep;
+    /// use malec_core::ScenarioSource;
+    /// use malec_trace::benchmark_named;
     ///
-    /// Panics if a replay source's file cannot be read — a sweep over a
-    /// missing trace is a harness bug, not a recoverable condition.
-    pub fn run_source(
+    /// let gzip = ScenarioSource::Profile(benchmark_named("gzip").unwrap());
+    /// let points = ParameterSweep::banks(&[2, 8]);
+    /// let plan = ParameterSweep::plan(&points, &gzip, 5_000, 3);
+    /// assert_eq!(plan.len(), 2);
+    /// assert_eq!(plan[1].config.l1.banks(), 8);
+    /// assert_eq!((plan[0].insts, plan[0].seed), (5_000, 3));
+    /// ```
+    pub fn plan(
         points: &[SweepPoint],
         source: &ScenarioSource,
         insts: u64,
         seed: u64,
-    ) -> Vec<(String, RunSummary)> {
-        let points: Vec<&SweepPoint> = points.iter().collect();
-        parallel_map(points, |p| {
-            let summary = Simulator::new(p.config.clone())
-                .run_source(source, insts, seed)
-                .unwrap_or_else(|e| panic!("{}: workload source failed: {e}", p.label));
-            (p.label.clone(), summary)
-        })
-    }
-
-    /// [`ParameterSweep::run_source`] with multi-seed replication: every
-    /// point runs under `rep.seeds` derived seeds (`replicate_seed(seed,
-    /// i)`; replicate 0 is the legacy single-seed path, bit for bit) and
-    /// reports the per-metric distribution. With a `ci_target`, a point
-    /// stops spawning replicates once the target metric's relative 95 % CI
-    /// half-width falls below the target (never before `min_seeds`).
-    ///
-    /// Replicates fan out across points *and* replicate indices in rounds;
-    /// the early-stopping decision is a pure function of each point's
-    /// ordered replicate prefix, so the outcome is bit-identical at any
-    /// worker count (`jobs` caps the fan-out like `--jobs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a replay source's file cannot be read, as in
-    /// [`ParameterSweep::run_source`].
-    pub fn run_source_replicated(
-        points: &[SweepPoint],
-        source: &ScenarioSource,
-        insts: u64,
-        seed: u64,
-        rep: &Replication,
-        jobs: Option<usize>,
-    ) -> Vec<ReplicatedPoint> {
-        let replicates = replicate_rounds(
-            points.len(),
-            rep,
-            jobs,
-            |p, r| {
-                Ok::<_, std::convert::Infallible>(
-                    Simulator::new(points[p].config.clone())
-                        .run_source(source, insts, replicate_seed(seed, r))
-                        .unwrap_or_else(|e| {
-                            panic!("{}: workload source failed: {e}", points[p].label)
-                        }),
-                )
-            },
-            |s| s,
-        )
-        .unwrap_or_else(|e| match e {});
+    ) -> Vec<CellGroup> {
         points
             .iter()
-            .zip(replicates)
-            .map(|(p, reps)| {
-                let stats = ReplicateStats::from_replicates(&reps, rep.seeds);
-                ReplicatedPoint {
-                    label: p.label.clone(),
-                    replicates: reps,
-                    stats,
-                }
+            .map(|p| CellGroup {
+                config: p.config.clone(),
+                source: source.clone(),
+                insts,
+                seed,
             })
             .collect()
     }
 }
 
-/// The shared round-based replicate driver behind
-/// [`ParameterSweep::run_source_replicated`] and the `malec-cli run`
-/// pipeline: runs `run(point, replicate)` over `points` points. Round 1
-/// launches every point's mandatory replicates (`rep.initial_count()`);
-/// each later round adds **one** replicate to every not-yet-converged
-/// point, so the final per-point count is the smallest ordered prefix
-/// satisfying the policy — a pure function of the results, bit-identical
-/// at any `jobs` cap. `summary` projects a produced value onto the
-/// [`RunSummary`] the convergence check reads (identity for plain sweeps;
-/// drivers that carry extra per-replicate payload project it away).
-///
-/// # Errors
-///
-/// Returns the first `run` error in unit order, once its round completes.
-pub fn replicate_rounds<T, E, R, S>(
-    points: usize,
-    rep: &Replication,
-    jobs: Option<usize>,
-    run: R,
-    summary: S,
-) -> Result<Vec<Vec<T>>, E>
-where
-    T: Send,
-    E: Send,
-    R: Fn(usize, u32) -> Result<T, E> + Sync,
-    S: Fn(&T) -> &RunSummary,
-{
-    replicate_rounds_by(points, rep.initial_count(), jobs, run, |p, all| {
-        rep.converged(all[p].iter().map(&summary))
-    })
-}
-
-/// The fully general round driver behind [`replicate_rounds`] and the
-/// paired comparison driver (`malec_core::compare::paired_rounds`):
-/// `converged(point, all_replicates)` sees **every** point's ordered
-/// replicate prefix, so a stopping rule may couple points (the paired-delta
-/// criterion stops a baseline/candidate pair jointly). The rule must stay a
-/// pure function of those prefixes — that is what makes serial and parallel
-/// runs stop at identical counts.
-///
-/// # Errors
-///
-/// Returns the first `run` error in unit order, once its round completes.
-pub fn replicate_rounds_by<T, E, R, C>(
-    points: usize,
-    initial: u32,
-    jobs: Option<usize>,
-    run: R,
-    converged: C,
-) -> Result<Vec<Vec<T>>, E>
-where
-    T: Send,
-    E: Send,
-    R: Fn(usize, u32) -> Result<T, E> + Sync,
-    C: Fn(usize, &[Vec<T>]) -> bool,
-{
-    let mut replicates: Vec<Vec<T>> = (0..points).map(|_| Vec::new()).collect();
-    let mut pending: Vec<(usize, u32)> = (0..points)
-        .flat_map(|p| (0..initial).map(move |r| (p, r)))
-        .collect();
-    while !pending.is_empty() {
-        let workers = workers_for(pending.len(), jobs);
-        let round = parallel_map_with(pending.clone(), |&(p, r)| run(p, r), workers);
-        for (&(p, _), result) in pending.iter().zip(round) {
-            replicates[p].push(result?);
-        }
-        pending = (0..points)
-            .filter(|&p| !converged(p, &replicates))
-            .map(|p| (p, replicates[p].len() as u32))
-            .collect();
-    }
-    Ok(replicates)
-}
-
-/// One sweep point's replicated results: every replicate summary in
-/// replicate order (index 0 is the legacy single-seed run) plus the
-/// aggregated per-metric statistics.
-#[derive(Clone, Debug)]
-pub struct ReplicatedPoint {
-    /// The point's label.
-    pub label: String,
-    /// Replicate summaries in replicate order.
-    pub replicates: Vec<RunSummary>,
-    /// Per-metric mean / 95 % CI / min / max over the replicates.
-    pub stats: ReplicateStats,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use malec_trace::all_benchmarks;
+    use crate::metrics::RunSummary;
+    use crate::plan::{run_plan, StoppingRule};
+    use crate::stats::{ReplicateStats, Replication};
+    use malec_trace::benchmark_named;
 
-    fn gzip() -> BenchmarkProfile {
-        all_benchmarks()
+    fn gzip() -> ScenarioSource {
+        ScenarioSource::Profile(benchmark_named("gzip").expect("gzip exists"))
+    }
+
+    /// Every point replicated under `rule` on gzip at seed 3.
+    fn replicated(
+        points: &[SweepPoint],
+        insts: u64,
+        rule: &StoppingRule,
+        jobs: Option<usize>,
+    ) -> Vec<Vec<RunSummary>> {
+        run_plan(&ParameterSweep::plan(points, &gzip(), insts, 3), rule, jobs)
+            .expect("profile sources cannot fail")
+    }
+
+    /// One single-seed summary per point.
+    fn run(points: &[SweepPoint]) -> Vec<RunSummary> {
+        replicated(points, 15_000, &StoppingRule::fixed(1), None)
             .into_iter()
-            .find(|b| b.name == "gzip")
-            .expect("gzip exists")
+            .flatten()
+            .collect()
     }
 
     #[test]
@@ -312,11 +179,36 @@ mod tests {
     }
 
     #[test]
+    fn every_axis_drops_its_invalid_points() {
+        let labels = |points: Vec<SweepPoint>| -> Vec<String> {
+            points.into_iter().map(|p| p.label).collect()
+        };
+        assert_eq!(labels(ParameterSweep::capacities(&[24, 32])), ["L1=32KiB"]);
+        assert_eq!(labels(ParameterSweep::ways(&[3, 4])), ["ways=4"]);
+        assert_eq!(
+            labels(ParameterSweep::result_buses(&[0, 2])),
+            ["result_buses=2"]
+        );
+    }
+
+    #[test]
+    fn plan_lowers_one_group_per_point_in_point_order() {
+        let points = ParameterSweep::ways(&[8, 2]);
+        let plan = ParameterSweep::plan(&points, &gzip(), 7_000, 11);
+        assert_eq!(plan.len(), 2);
+        for (point, group) in points.iter().zip(&plan) {
+            assert_eq!(group.config, point.config);
+            assert_eq!(group.source.name(), "gzip");
+            assert_eq!((group.insts, group.seed), (7_000, 11));
+        }
+        assert!(ParameterSweep::plan(&[], &gzip(), 7_000, 11).is_empty());
+    }
+
+    #[test]
     fn more_banks_never_hurt_grouped_throughput() {
-        let points = ParameterSweep::banks(&[1, 4]);
-        let results = ParameterSweep::run(&points, &gzip(), 15_000, 3);
-        let one_bank = results[0].1.core.cycles;
-        let four_banks = results[1].1.core.cycles;
+        let results = run(&ParameterSweep::banks(&[1, 4]));
+        let one_bank = results[0].core.cycles;
+        let four_banks = results[1].core.cycles;
         assert!(
             four_banks <= one_bank,
             "banking enables parallel servicing: {four_banks} vs {one_bank}"
@@ -325,10 +217,9 @@ mod tests {
 
     #[test]
     fn bigger_caches_miss_less() {
-        let points = ParameterSweep::capacities(&[8, 64]);
-        let results = ParameterSweep::run(&points, &gzip(), 15_000, 3);
+        let results = run(&ParameterSweep::capacities(&[8, 64]));
         assert!(
-            results[1].1.l1_miss_rate <= results[0].1.l1_miss_rate,
+            results[1].l1_miss_rate <= results[0].l1_miss_rate,
             "64KiB should not miss more than 8KiB"
         );
     }
@@ -338,11 +229,11 @@ mod tests {
         // The 2-bit encoding generalizes to 8 ways (3 bits would be naive;
         // we keep 2 bits and one excluded way — coverage still works).
         let points = ParameterSweep::ways(&[2, 4, 8]);
-        let results = ParameterSweep::run(&points, &gzip(), 15_000, 3);
-        for (label, run) in &results {
+        for (point, run) in points.iter().zip(run(&points)) {
             assert!(
                 run.interface.coverage() > 0.5,
-                "{label}: coverage collapsed to {}",
+                "{}: coverage collapsed to {}",
+                point.label,
                 run.interface.coverage()
             );
         }
@@ -351,23 +242,27 @@ mod tests {
     #[test]
     fn replicated_sweep_is_bit_identical_serial_vs_parallel() {
         let points = ParameterSweep::banks(&[2, 4]);
-        let source = ScenarioSource::Profile(gzip());
-        let rep = Replication::fixed(4);
-        let serial =
-            ParameterSweep::run_source_replicated(&points, &source, 5_000, 3, &rep, Some(1));
-        let parallel =
-            ParameterSweep::run_source_replicated(&points, &source, 5_000, 3, &rep, Some(4));
+        let rule = StoppingRule::fixed(4);
+        let serial = replicated(&points, 5_000, &rule, Some(1));
+        let parallel = replicated(&points, 5_000, &rule, Some(4));
         assert_eq!(serial.len(), 2);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.label, p.label);
-            assert_eq!(s.replicates.len(), 4);
-            for (a, b) in s.replicates.iter().zip(&p.replicates) {
-                assert_eq!(a.core, b.core, "{}: fan-out leaked into results", s.label);
+        for ((point, s), p) in points.iter().zip(&serial).zip(&parallel) {
+            assert_eq!(s.len(), 4);
+            for (a, b) in s.iter().zip(p) {
+                assert_eq!(
+                    a.core, b.core,
+                    "{}: fan-out leaked into results",
+                    point.label
+                );
                 assert_eq!(a.counters, b.counters);
             }
-            for ((an, a), (bn, b)) in s.stats.metrics.iter().zip(&p.stats.metrics) {
+            let (ss, ps) = (
+                ReplicateStats::from_replicates(s, 4),
+                ReplicateStats::from_replicates(p, 4),
+            );
+            for ((an, a), (bn, b)) in ss.metrics.iter().zip(&ps.metrics) {
                 assert_eq!(an, bn);
-                assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{}/{an}", s.label);
+                assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{}/{an}", point.label);
             }
         }
     }
@@ -375,56 +270,45 @@ mod tests {
     #[test]
     fn replicate_zero_matches_the_single_seed_path() {
         let points = ParameterSweep::banks(&[4]);
-        let source = ScenarioSource::Profile(gzip());
-        let single = ParameterSweep::run_source(&points, &source, 5_000, 3);
-        let replicated = ParameterSweep::run_source_replicated(
-            &points,
-            &source,
+        let single = crate::Simulator::new(points[0].config.clone()).run(
+            &benchmark_named("gzip").expect("gzip exists"),
             5_000,
             3,
-            &Replication::fixed(3),
-            None,
         );
+        let replicated = replicated(&points, 5_000, &StoppingRule::fixed(3), None);
         assert_eq!(
-            single[0].1.core, replicated[0].replicates[0].core,
+            single.core, replicated[0][0].core,
             "replicate 0 is the legacy seed path, bit for bit"
         );
         // Later replicates really use different seeds (different streams).
-        assert_ne!(
-            replicated[0].replicates[0].core.cycles,
-            replicated[0].replicates[1].core.cycles
-        );
+        assert_ne!(replicated[0][0].core.cycles, replicated[0][1].core.cycles);
     }
 
     #[test]
     fn ci_target_stops_early_on_a_generous_target() {
         let points = ParameterSweep::banks(&[4]);
-        let source = ScenarioSource::Profile(gzip());
         let rep = Replication {
             seeds: 16,
             min_seeds: 3,
             ci_target: Some(0.5), // 50 % relative half-width: trivially met
             metric: crate::stats::CiMetric::Ipc,
         };
-        let out = ParameterSweep::run_source_replicated(&points, &source, 5_000, 3, &rep, None);
-        assert!(
-            out[0].replicates.len() < 16,
-            "a generous target must stop before the seed cap"
-        );
-        assert!(out[0].replicates.len() >= 3, "never before min_seeds");
+        let out = replicated(&points, 5_000, &StoppingRule::new(rep), None);
+        let n = out[0].len() as u32;
+        assert!(n < 16, "a generous target must stop before the seed cap");
+        assert!(n >= 3, "never before min_seeds");
         assert_eq!(
-            out[0].stats.saved,
-            16 - out[0].replicates.len() as u32,
+            ReplicateStats::from_replicates(&out[0], rep.seeds).saved,
+            16 - n,
             "saved replicates are priced against the cap"
         );
     }
 
     #[test]
     fn result_buses_bound_malec_throughput() {
-        let points = ParameterSweep::result_buses(&[1, 4]);
-        let results = ParameterSweep::run(&points, &gzip(), 15_000, 3);
-        let narrow = results[0].1.core.cycles;
-        let wide = results[1].1.core.cycles;
+        let results = run(&ParameterSweep::result_buses(&[1, 4]));
+        let narrow = results[0].core.cycles;
+        let wide = results[1].core.cycles;
         assert!(
             wide < narrow,
             "one result bus must throttle MALEC: {wide} vs {narrow}"

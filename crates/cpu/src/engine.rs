@@ -9,8 +9,6 @@
 
 use std::collections::VecDeque;
 
-use serde::Serialize;
-
 use malec_trace::inst::TraceInst;
 use malec_types::config::SimConfig;
 use malec_types::op::{MemOp, OpId};
@@ -44,7 +42,7 @@ struct RobEntry {
 }
 
 /// Aggregate statistics of one run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CoreStats {
     /// Cycles elapsed until the last instruction committed.
     pub cycles: u64,

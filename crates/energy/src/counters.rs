@@ -9,8 +9,6 @@
 
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Counts of energy-relevant events accumulated during a simulation run.
 ///
 /// # Example
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.l1_tag_bank_reads, 1);
 /// assert_eq!(c.l1_data_subblock_reads, 4 + 2);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct EnergyCounters {
     /// Tag-array lookups, one per bank access that compares all ways.
     pub l1_tag_bank_reads: u64,

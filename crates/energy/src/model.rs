@@ -7,15 +7,13 @@
 //! their counters are still priced and reported separately so the
 //! simplification can be inspected.
 
-use serde::Serialize;
-
 use malec_types::config::{PortConfig, SimConfig, WayDetermination};
 
 use crate::counters::EnergyCounters;
 use crate::sram::{CamArray, SramArray, SramParams};
 
 /// Dynamic/leakage energy attributed to one structure.
-#[derive(Clone, PartialEq, Debug, Serialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct StructureEnergy {
     /// Structure name (e.g. `"L1 tag arrays"`).
     pub name: &'static str,
@@ -33,7 +31,7 @@ impl StructureEnergy {
 }
 
 /// Evaluated energy of one simulation run.
-#[derive(Clone, PartialEq, Debug, Serialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct EnergyBreakdown {
     /// Total dynamic energy of the accounted structures.
     pub dynamic: f64,

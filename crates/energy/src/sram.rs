@@ -15,8 +15,6 @@
 //! calibrated to the paper's "the additional rd port increases L1 leakage by
 //! 80 %" (Sec. VI-C).
 
-use serde::{Deserialize, Serialize};
-
 use malec_types::config::PortConfig;
 
 /// Technology/calibration constants of the analytical model.
@@ -24,7 +22,7 @@ use malec_types::config::PortConfig;
 /// All energies are in consistent arbitrary units (≈ pJ at 32 nm); leakage
 /// is in the same unit per cycle. Defaults are calibrated to reproduce the
 /// CACTI-derived ratios quoted in the paper (see crate docs).
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SramParams {
     /// Decoder energy coefficient (× `log2(rows) × rows / 64`); the
     /// rows-proportional factor captures the larger predecoders and longer
@@ -94,7 +92,7 @@ fn log2_ceil(v: u64) -> f64 {
 /// let sub = way.read_energy(128);
 /// assert!(sub < full);
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SramArray {
     name: &'static str,
     rows: u64,
@@ -182,7 +180,7 @@ impl SramArray {
 /// (physical) lookups are modelled as a second CAM over the same payload, as
 /// the paper prescribes ("uTLB and TLB are treated as two separate fully
 /// associative tag-arrays for their uWT/WT data-array", Sec. VI-A).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct CamArray {
     name: &'static str,
     entries: u64,

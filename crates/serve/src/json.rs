@@ -1,7 +1,7 @@
 //! A minimal JSON reader for the service's own wire format.
 //!
-//! The build environment has no network crates and no `serde_json`; the
-//! service emits JSON by hand (same style as [`crate::report`]) and this
+//! The workspace builds offline against no external crates (no `serde`,
+//! no `serde_json`); the service emits JSON by hand (same style as [`crate::report`]) and this
 //! module parses it back — for the CLI client, the integration tests, and
 //! anything else that consumes the API. It is a strict recursive-descent
 //! parser over the JSON subset the service produces: objects, arrays,

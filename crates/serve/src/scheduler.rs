@@ -52,10 +52,11 @@ use crate::sync::lock;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use malec_core::compare::{paired_converged, Alpha, CompareStats};
+use malec_core::compare::CompareStats;
 use malec_core::parallel::worker_count;
+use malec_core::plan::Step;
 use malec_core::stats::{replicate_seed, ReplicateStats};
-use malec_core::{RunSummary, ScenarioSource, Simulator};
+use malec_core::{RunSummary, ScenarioSource, Simulator, StoppingRule};
 use malec_trace::Scenario;
 use malec_types::error::{Failure, FailureKind};
 use malec_types::SimConfig;
@@ -183,10 +184,9 @@ struct Job {
     units: Vec<(usize, u32)>,
     cells: Vec<CellState>,
     groups: Vec<Group>,
-    /// Explicit `[compare]` pairing `(baseline group, candidate group,
-    /// alpha)`: under a `ci_target` these two groups stop **jointly**
-    /// through the paired-delta criterion instead of their marginal CIs.
-    pair: Option<(usize, usize, Alpha)>,
+    /// The spec's stopping rule ([`SweepSpec::stopping_rule`]): which
+    /// groups grow and when they stop.
+    rule: StoppingRule,
     started: Instant,
     wall_seconds: Option<f64>,
     /// When the job settled (all cells terminal) — the TTL clock.
@@ -244,12 +244,12 @@ impl Job {
     /// This config group's finished replicate summaries, in replicate
     /// order; `None` while any planned replicate is still pending (or
     /// failed — a failed replicate never aggregates and never extends).
-    fn group_replicates(&self, config: usize) -> Option<Vec<Arc<RunSummary>>> {
-        let mut reps: Vec<(u32, Arc<RunSummary>)> = Vec::new();
+    fn group_replicates(&self, config: usize) -> Option<Vec<&RunSummary>> {
+        let mut reps: Vec<(u32, &RunSummary)> = Vec::new();
         for (&(c, r), cell) in self.units.iter().zip(&self.cells) {
             if c == config {
                 match cell {
-                    CellState::Done(s, _) => reps.push((r, Arc::clone(s))),
+                    CellState::Done(s, _) => reps.push((r, s)),
                     CellState::Pending | CellState::Failed(_) => return None,
                 }
             }
@@ -446,7 +446,8 @@ impl Engine {
     pub fn submit_with_source(&self, spec: SweepSpec, source: Option<Arc<str>>) -> JobId {
         let id = self.inner.next_job.fetch_add(1, Ordering::Relaxed);
         let scenario = Arc::new(spec.scenario.clone());
-        let initial = spec.replication.initial_count();
+        let rule = spec.stopping_rule();
+        let initial = rule.initial_count();
         let mut units: Vec<WorkUnit> = Vec::new();
         let mut unit_map: Vec<(usize, u32)> = Vec::new();
         for (config_idx, config) in spec.configs.iter().enumerate() {
@@ -476,15 +477,7 @@ impl Engine {
                     saved: 0,
                 })
                 .collect(),
-            // Only an explicit [compare] couples the pair's stopping rule
-            // (a defaulted comparison over a plain spec is an aggregation
-            // concern, not a scheduling one).
-            pair: spec
-                .compare
-                .is_some()
-                .then(|| spec.resolve_compare().ok())
-                .flatten()
-                .map(|r| (r.baseline, r.candidate, r.alpha)),
+            rule,
             scenario,
             spec,
             started: Instant::now(),
@@ -596,9 +589,9 @@ impl Engine {
                 let reps = j
                     .group_replicates(config_idx)
                     .expect("job is done, every replicate finished");
-                let cell = CellResult::from_generated((*reps[0]).clone());
+                let cell = CellResult::from_generated(reps[0].clone());
                 if j.spec.replication.replicated() {
-                    let owned: Vec<RunSummary> = reps.iter().map(|s| (**s).clone()).collect();
+                    let owned: Vec<RunSummary> = reps.into_iter().cloned().collect();
                     cell.with_stats(ReplicateStats::from_replicates(
                         &owned,
                         j.spec.replication.seeds,
@@ -652,8 +645,8 @@ impl Engine {
         let owned = |config: usize| -> Vec<RunSummary> {
             j.group_replicates(config)
                 .expect("job is done, every replicate finished")
-                .iter()
-                .map(|s| (**s).clone())
+                .into_iter()
+                .cloned()
                 .collect()
         };
         let base = owned(resolved.baseline);
@@ -1042,7 +1035,7 @@ const FETCH_RETRIES: u32 = 2;
 /// replicate-0 key.
 fn remote_clusters(j: &Job, shard: &ShardMap) -> Vec<(String, Vec<usize>)> {
     let mut clusters: Vec<Vec<usize>> = Vec::new();
-    let paired: HashSet<usize> = match j.pair {
+    let paired: HashSet<usize> = match j.rule.pair {
         Some((b, c, _)) => {
             clusters.push(vec![b, c]);
             [b, c].into_iter().collect()
@@ -1312,64 +1305,32 @@ fn finish_cell(
     }
 }
 
-/// Replication step after one cell of `config_idx` finished. Groups paired
-/// by an explicit `[compare]` section route to [`extend_pair`] (the paired
-/// delta is their stopping criterion); every other group keeps the
-/// marginal rule of [`extend_group`].
+/// Replication step after one cell of `config_idx` finished: once every
+/// planned replicate of the group's stopping unit has finished, the job's
+/// [`StoppingRule`] either certifies the unit or grows each of its groups
+/// by one replicate. Growing one at a time makes the final count the
+/// smallest prefix the rule certifies — the same count `run_plan` picks.
 fn extend_after_finish(j: &mut Job, job: JobId, config_idx: usize) -> Vec<WorkUnit> {
-    if let Some((b, c, alpha)) = j.pair {
-        if config_idx == b || config_idx == c {
-            return extend_pair(j, job, b, c, alpha);
-        }
-    }
-    extend_group(j, job, config_idx).into_iter().collect()
-}
-
-/// Marginal replication step for one config group: once every planned
-/// replicate has finished, either certify convergence (CI target met, or
-/// the seed cap reached) or grow the group by exactly one replicate.
-/// Growing one at a time makes the final count the smallest prefix
-/// satisfying the policy — the same count a serial driver picks.
-fn extend_group(j: &mut Job, job: JobId, config_idx: usize) -> Option<WorkUnit> {
-    let rep = j.spec.replication;
     if j.groups[config_idx].converged {
-        return None;
-    }
-    let replicates = j.group_replicates(config_idx)?;
-    if rep.converged(replicates.iter().map(Arc::as_ref)) {
-        certify(j, job, config_idx);
-        return None;
-    }
-    Some(push_unit(j, job, config_idx))
-}
-
-/// Paired replication step for the `[compare]` groups: once **both**
-/// groups' planned replicates have finished, either certify joint
-/// convergence (the paired-delta criterion of
-/// [`malec_core::compare::paired_converged`] — the same pure prefix
-/// function the local `paired_rounds` driver uses, so server and CLI stop
-/// at identical counts) or grow *both* groups by one shared seed.
-fn extend_pair(j: &mut Job, job: JobId, b: usize, c: usize, alpha: Alpha) -> Vec<WorkUnit> {
-    let rep = j.spec.replication;
-    if j.groups[b].converged || j.groups[c].converged {
         return Vec::new();
     }
-    let (Some(base), Some(cand)) = (j.group_replicates(b), j.group_replicates(c)) else {
-        return Vec::new(); // one side still has pending replicates
+    let Some((unit, step)) = j.rule.decide(config_idx, |g| j.group_replicates(g)) else {
+        return Vec::new(); // a replicate of the unit is still pending
     };
-    let n = base.len().min(cand.len());
-    let pairs = (0..n).map(|i| (base[i].as_ref(), cand[i].as_ref()));
-    if paired_converged(&rep, alpha, pairs) {
-        certify(j, job, b);
-        certify(j, job, c);
-        return Vec::new();
+    match step {
+        Step::Certify => {
+            for g in unit {
+                certify(j, job, g);
+            }
+            Vec::new()
+        }
+        Step::Grow => unit.into_iter().map(|g| push_unit(j, job, g)).collect(),
     }
-    vec![push_unit(j, job, b), push_unit(j, job, c)]
 }
 
 /// Marks one group converged and prices what the CI target saved.
 fn certify(j: &mut Job, job: JobId, config_idx: usize) {
-    let rep = j.spec.replication;
+    let rep = j.rule.replication;
     let g = &mut j.groups[config_idx];
     g.converged = true;
     g.saved = rep.seeds.saturating_sub(g.planned);
@@ -1607,6 +1568,74 @@ mod tests {
         let n = status.cells / 2;
         assert!(report.contains(&format!("\"replicates\": {n}")), "{report}");
         assert!(report.contains(&format!("\"replicates_saved\": {}", 16 - n)));
+        engine.shutdown();
+    }
+
+    #[test]
+    fn every_stopping_unit_of_a_job_lands_on_the_run_plan_counts() {
+        // A [compare] pair plus a third config that stops on its own: the
+        // event-driven scheduler must reach the counts of the round driver.
+        let spec = parse_spec(
+            "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
+             [compare]\nbaseline = \"Base1ldst\"\ncandidate = \"MALEC\"\n\
+             [sweep]\nconfigs = [\"Base1ldst\", \"Base2ld1st\", \"MALEC\"]\n\
+             insts = 2000\nseed = 5\nseeds = 8\nmin_seeds = 2\nci_target = 0.02\n",
+        )
+        .expect("spec");
+        let all: Vec<usize> = (0..spec.configs.len()).collect();
+        let (plan, rule) = spec.plan(&all);
+        let local: Vec<u64> = malec_core::run_plan(&plan, &rule, Some(1))
+            .expect("generator runs")
+            .iter()
+            .map(|g| g.len() as u64)
+            .collect();
+        assert_eq!(local[0], local[2], "the pair grows in lockstep");
+
+        let engine = Engine::new(Some(3), None).expect("engine");
+        let job = engine.submit(spec);
+        let status = wait_done(&engine, job);
+        assert_eq!(status.cells as u64, local.iter().sum::<u64>());
+        let report = engine.job_report(job).expect("known").expect("done");
+        let v = crate::json::parse(&report).expect("valid JSON");
+        let served: Vec<u64> = v
+            .get("cells")
+            .and_then(crate::json::Value::as_array)
+            .expect("cells")
+            .iter()
+            .map(|c| {
+                c.get("replicates")
+                    .and_then(crate::json::Value::as_u64)
+                    .expect("count")
+            })
+            .collect();
+        assert_eq!(served, local, "per-config counts match the round driver");
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_cached_resubmission_stops_at_the_cold_counts() {
+        // Cached cells finish at once; the stopping rule must still grow
+        // the groups one replicate at a time to the same prefixes.
+        let spec = parse_spec(
+            "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
+             [compare]\nbaseline = \"Base1ldst\"\ncandidate = \"MALEC\"\n\
+             [sweep]\nconfigs = [\"Base1ldst\", \"Base2ld1st\", \"MALEC\"]\n\
+             insts = 2000\nseed = 9\nseeds = 8\nmin_seeds = 2\nci_target = 0.02\n",
+        )
+        .expect("spec");
+        let engine = Engine::new(Some(2), None).expect("engine");
+        let cold = engine.submit(spec.clone());
+        let cold_status = wait_done(&engine, cold);
+        let warm = engine.submit(spec);
+        let warm_status = wait_done(&engine, warm);
+        assert_eq!(warm_status.simulated, 0, "every replicate is cached");
+        assert_eq!(warm_status.cells, cold_status.cells);
+        assert_eq!(warm_status.replicates_saved, cold_status.replicates_saved);
+        let cells = |job| {
+            let r = engine.job_report(job).expect("known").expect("done");
+            r[r.find("\"cells\": [").expect("cells")..].to_owned()
+        };
+        assert_eq!(cells(warm), cells(cold));
         engine.shutdown();
     }
 

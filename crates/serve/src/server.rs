@@ -840,6 +840,28 @@ mod tests {
     }
 
     #[test]
+    fn a_restricted_sub_job_stops_like_its_slice_of_the_plan() {
+        let doc = "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
+                   [compare]\nbaseline = \"Base1ldst\"\ncandidate = \"MALEC\"\n\
+                   [sweep]\nconfigs = [\"Base1ldst\", \"Base2ld1st\", \"MALEC\"]\n\
+                   seeds = 8\nmin_seeds = 2\nci_target = 0.05\n";
+        let full = parse_spec(doc).expect("spec");
+        for (list, slice) in [
+            ("Base1ldst,MALEC", vec![0, 2]),
+            ("MALEC,Base2ld1st", vec![1, 2]),
+            ("Base2ld1st", vec![1]),
+        ] {
+            let mut sub = full.clone();
+            restrict_configs(&mut sub, list).expect("labels are in the spec");
+            assert_eq!(
+                sub.stopping_rule(),
+                full.plan(&slice).1,
+                "{list}: the sub-job stops by the rule of its slice"
+            );
+        }
+    }
+
+    #[test]
     fn status_json_escapes_control_characters() {
         // TOML strings legally contain \n / \t escapes; the status JSON
         // must stay parseable anyway.

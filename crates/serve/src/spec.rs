@@ -10,6 +10,7 @@ use std::fmt;
 
 use malec_core::compare::Alpha;
 use malec_core::stats::{CiMetric, Replication};
+use malec_core::{CellGroup, ScenarioSource, StoppingRule};
 use malec_trace::benchmark_named;
 use malec_trace::scenario::{
     preset_named, BankConflictParams, MixPart, Phase, Scenario, SegmentKind, StoreBurstParams,
@@ -108,10 +109,9 @@ impl SweepSpec {
     /// least two shared seeds). A `ci_target` without an explicit
     /// `[compare]` section is also rejected: early stopping must follow
     /// exactly one criterion everywhere, and only an explicit section
-    /// makes the **paired delta** that criterion (the `malec-serve`
-    /// scheduler keeps a plain replicated sweep on the marginal rule so
-    /// `submit` stays bit-identical to `run`; an implicit pairing on top
-    /// of it would stop at different counts than a local `compare`).
+    /// makes the **paired delta** that criterion ([`Self::stopping_rule`]
+    /// keeps a plain replicated sweep on the marginal rule, so an implicit
+    /// pairing would stop at different counts than `run` and `submit`).
     pub fn resolve_compare(&self) -> Result<ResolvedCompare, SpecError> {
         if self.compare.is_none() && self.replication.ci_target.is_some() {
             return Err(bad(
@@ -143,6 +143,57 @@ impl SweepSpec {
             candidate: index_of(&cmp.candidate)?,
             alpha: cmp.alpha,
         })
+    }
+
+    /// The spec's stopping rule over its config list: the `[sweep]`
+    /// replication policy, with an explicit `[compare]` pair growing in
+    /// lockstep and stopping on the paired delta. `Engine::submit`,
+    /// `malec-cli run` and `malec-cli compare` all grow replicates by this
+    /// one lowering, so they stop at identical counts. (A defaulted
+    /// pairing over a plain spec is an aggregation concern, not a stopping
+    /// one.)
+    ///
+    /// ```
+    /// use malec_core::compare::Alpha;
+    /// use malec_serve::spec::parse_spec;
+    ///
+    /// let spec = parse_spec(
+    ///     "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
+    ///      [compare]\nbaseline = \"Base1ldst\"\ncandidate = \"MALEC\"\n\
+    ///      [sweep]\nconfigs = [\"MALEC\", \"Base1ldst\"]\nseeds = 8\nci_target = 0.05\n",
+    /// )
+    /// .unwrap();
+    /// let rule = spec.stopping_rule();
+    /// assert_eq!(rule.pair, Some((1, 0, Alpha::Five)));
+    /// assert_eq!(rule.replication, spec.replication);
+    /// ```
+    #[must_use]
+    pub fn stopping_rule(&self) -> StoppingRule {
+        StoppingRule {
+            replication: self.replication,
+            pair: self
+                .compare
+                .as_ref()
+                .and_then(|_| self.resolve_compare().ok())
+                .map(|r| (r.baseline, r.candidate, r.alpha)),
+        }
+    }
+
+    /// The cell plan of the configs at `configs` (indices into
+    /// [`Self::configs`], in plan order) over the scenario's generator
+    /// stream, with [`Self::stopping_rule`] restricted to them.
+    #[must_use]
+    pub fn plan(&self, configs: &[usize]) -> (Vec<CellGroup>, StoppingRule) {
+        let groups = configs
+            .iter()
+            .map(|&c| CellGroup {
+                config: self.configs[c].clone(),
+                source: ScenarioSource::Scenario(self.scenario.clone()),
+                insts: self.insts,
+                seed: self.seed,
+            })
+            .collect();
+        (groups, self.stopping_rule().select(configs))
     }
 }
 
@@ -886,5 +937,78 @@ mtr = "demo.mtr"
             let e = parse_spec(doc).expect_err(doc);
             assert!(e.to_string().contains(needle), "`{e}` lacks `{needle}`");
         }
+    }
+
+    /// A three-config `[compare]` + `ci_target` spec whose pair is not
+    /// in config order: baseline at index 2, candidate at 0.
+    const PAIRED: &str = "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
+                          [compare]\nbaseline = \"Base1ldst\"\ncandidate = \"MALEC\"\nalpha = 0.01\n\
+                          [sweep]\nconfigs = [\"MALEC\", \"Base2ld1st\", \"Base1ldst\"]\n\
+                          seeds = 8\nmin_seeds = 2\nci_target = 0.05\ninsts = 3000\nseed = 5\n";
+
+    #[test]
+    fn a_plain_spec_stops_every_group_on_its_own() {
+        let doc = "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
+                   [sweep]\nseeds = 8\nci_target = 0.1\n";
+        let spec = parse_spec(doc).expect("parses");
+        let rule = spec.stopping_rule();
+        assert_eq!(rule.replication, spec.replication);
+        assert_eq!(
+            rule.pair, None,
+            "a defaulted pairing never couples the stopping rule"
+        );
+    }
+
+    #[test]
+    fn a_compare_spec_pairs_its_groups_by_config_index() {
+        let spec = parse_spec(PAIRED).expect("parses");
+        let rule = spec.stopping_rule();
+        assert_eq!(rule.replication, spec.replication);
+        assert_eq!(rule.pair, Some((2, 0, Alpha::One)));
+        assert_eq!(rule.initial_count(), 2, "a target starts at min_seeds");
+    }
+
+    #[test]
+    fn a_compare_spec_without_a_target_still_runs_every_seed() {
+        let doc = "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
+                   [compare]\n[sweep]\nseeds = 4\n";
+        let spec = parse_spec(doc).expect("parses");
+        let rule = spec.stopping_rule();
+        let resolved = spec.resolve_compare().expect("default pair resolves");
+        assert_eq!(
+            rule.pair,
+            Some((resolved.baseline, resolved.candidate, Alpha::Five))
+        );
+        assert_eq!(rule.initial_count(), 4, "no target: every seed up front");
+    }
+
+    #[test]
+    fn plan_groups_run_the_spec_scenario_at_its_horizon_and_seed() {
+        let spec = parse_spec(PAIRED).expect("parses");
+        let (groups, rule) = spec.plan(&[0, 1, 2]);
+        assert_eq!(rule, spec.stopping_rule(), "the whole spec keeps its rule");
+        let labels: Vec<String> = groups.iter().map(|g| g.config.label()).collect();
+        assert_eq!(labels, ["MALEC", "Base2ld1st", "Base1ldst"]);
+        for g in &groups {
+            assert_eq!(g.source.name(), "store_burst");
+            assert_eq!((g.insts, g.seed), (3000, 5));
+        }
+    }
+
+    #[test]
+    fn plan_restricts_the_pair_to_the_selected_configs() {
+        let spec = parse_spec(PAIRED).expect("parses");
+        let (groups, rule) = spec.plan(&[2, 0]);
+        assert_eq!(groups.len(), 2);
+        assert_eq!(groups[0].config.label(), "Base1ldst");
+        assert_eq!(
+            rule.pair,
+            Some((0, 1, Alpha::One)),
+            "re-indexed in plan order"
+        );
+        let (alone, rule) = spec.plan(&[1, 2]);
+        assert_eq!(alone.len(), 2);
+        assert_eq!(rule.pair, None, "half a pair stops on its own");
+        assert_eq!(rule.replication, spec.replication);
     }
 }

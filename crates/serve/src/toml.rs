@@ -1,8 +1,7 @@
 //! A minimal TOML parser for scenario sweep specs.
 //!
-//! The workspace's vendored `serde` is an API-shape stub (the build
-//! environment has no crates.io access, so there is no `toml` crate to
-//! plug into it); this module implements the TOML subset the spec format
+//! The workspace builds offline against no external crates, so there is
+//! no `toml` crate; this module implements the TOML subset the spec format
 //! uses, hand-rolled and fully tested:
 //!
 //! * `[table.header]` and `[[array.of.tables]]` sections;

@@ -13,10 +13,8 @@
 //! (memory instructions ≈ 45 % / 40 % / 37 % for INT / FP / MB2; load:store
 //! ≈ 2:1; 70 % of loads directly followed by a same-page load).
 
-use serde::{Deserialize, Serialize};
-
 /// Benchmark suite, for grouping and geometric means.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Suite {
     /// SPEC CPU2000 integer.
     SpecInt,
@@ -49,7 +47,7 @@ impl std::fmt::Display for Suite {
 }
 
 /// The calibrated generator parameters for one benchmark.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct BenchmarkProfile {
     /// Benchmark name as printed in Fig. 4.
     pub name: &'static str,

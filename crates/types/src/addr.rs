@@ -8,13 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! addr_newtype {
     ($(#[$meta:meta])* $name:ident, $inner:ty) => {
         $(#[$meta])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
         )]
         pub struct $name($inner);
 
@@ -129,9 +127,7 @@ impl PAddr {
 }
 
 /// Index of a cache bank (0-based; the paper uses 4 banks).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct BankId(pub u8);
 
 impl fmt::Display for BankId {
@@ -141,9 +137,7 @@ impl fmt::Display for BankId {
 }
 
 /// Index of a cache way (0-based; the paper's L1 is 4-way set-associative).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct WayId(pub u8);
 
 impl fmt::Display for WayId {
@@ -153,9 +147,7 @@ impl fmt::Display for WayId {
 }
 
 /// Index of a set within a single cache bank.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct SetIndex(pub u32);
 
 impl fmt::Display for SetIndex {
@@ -165,9 +157,7 @@ impl fmt::Display for SetIndex {
 }
 
 /// Index of a 128-bit sub-block within a cache line (4 per 64 B line).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct SubBlockId(pub u8);
 
 impl fmt::Display for SubBlockId {

@@ -6,14 +6,12 @@
 //! | `Base2ld1st` | 2 ld + 1 st           | 1 rd/wt + 2 rd | 1 rd/wt + 1 rd|
 //! | `MALEC`      | 1 ld + 2 ld/st        | 1 rd/wt        | 1 rd/wt       |
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ConfigError;
 use crate::geometry::{CacheGeometry, PageGeometry};
 use crate::params;
 
 /// Which L1 data interface microarchitecture is simulated.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum InterfaceKind {
     /// Energy-oriented baseline: one load *or* one store per cycle; every
     /// structure single-ported.
@@ -45,7 +43,7 @@ impl std::fmt::Display for InterfaceKind {
 
 /// L1 hit latency variant analyzed in Fig. 4 (the baseline latency is
 /// 2 cycles; the variants move it by ±1 cycle).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum LatencyVariant {
     /// 1-cycle L1 hit latency (`Base2ld1st_1cycleL1`).
     OneCycle,
@@ -77,7 +75,7 @@ impl LatencyVariant {
 }
 
 /// Which way-determination scheme (if any) assists the MALEC interface.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum WayDetermination {
     /// No way information: every access is a conventional parallel
     /// tag + data lookup.
@@ -109,7 +107,7 @@ impl WayDetermination {
 
 /// Read/write port counts of one hardware structure, used both by the timing
 /// model (arbitration) and by the energy model (per-port cost scaling).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PortConfig {
     /// Number of shared read/write ports.
     pub rw: u8,
@@ -150,7 +148,7 @@ impl Default for PortConfig {
 }
 
 /// Per-cycle address-computation (AGU) capability of a configuration.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct AgwConfig {
     /// AGU slots usable only by loads.
     pub load_only: u8,
@@ -180,7 +178,7 @@ impl AgwConfig {
 /// Complete simulation configuration: interface kind, latency variant,
 /// geometry, structure sizes, and the MALEC feature toggles used by the
 /// ablation benches.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SimConfig {
     /// Which interface microarchitecture.
     pub interface: InterfaceKind,

@@ -7,8 +7,6 @@
 //! ("a cache consisting of four banks may allocate lines 0..3 to separate
 //! banks and lines 0, 4, 8, .., 60 to the same bank", Sec. V).
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{BankId, LineAddr, PAddr, PPageId, SetIndex, SubBlockId, VAddr, VPageId};
 use crate::error::ConfigError;
 
@@ -24,7 +22,7 @@ use crate::error::ConfigError;
 /// assert_eq!(g.lines_per_page(), 64);
 /// assert_eq!(g.page_offset_bits(), 12);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PageGeometry {
     page_bytes: u64,
     line_bytes: u64,
@@ -151,7 +149,7 @@ impl Default for PageGeometry {
 /// assert_eq!(l1.banks(), 4);
 /// assert_eq!(l1.sets_per_bank(), 32);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CacheGeometry {
     total_bytes: u64,
     ways: u32,

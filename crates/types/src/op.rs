@@ -1,17 +1,13 @@
 //! Memory-operation records exchanged between the CPU model and the L1
 //! interface implementations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::VAddr;
 
 /// Unique, monotonically increasing identifier of a dynamic memory operation.
 ///
 /// Ids double as program-order priority: a lower id is older and therefore
 /// has higher priority in the Input Buffer and the Arbitration Unit.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct OpId(pub u64);
 
 impl std::fmt::Display for OpId {
@@ -21,7 +17,7 @@ impl std::fmt::Display for OpId {
 }
 
 /// The kind of a memory operation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum MemOpKind {
     /// A load; completion wakes dependent instructions.
     Load,
@@ -58,7 +54,7 @@ impl MemOpKind {
 /// assert!(op.kind.is_load());
 /// assert_eq!(op.size, 8);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct MemOp {
     /// Program-order identity (lower = older = higher priority).
     pub id: OpId,

@@ -216,6 +216,144 @@ fn paired_early_stopping_is_fanout_independent_and_saves_seeds() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The report of `toml` submitted to a fresh two-worker [`malec_serve::Engine`].
+fn served_report(toml: &str) -> String {
+    let engine = malec_serve::Engine::new(Some(2), None).expect("engine");
+    let job = engine.submit(parse_spec(toml).expect("spec"));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    let served = loop {
+        match engine.job_report(job).expect("job exists") {
+            Ok(json) => break json,
+            Err(status) => {
+                assert_ne!(status.state, "failed", "{status:?}");
+                assert!(std::time::Instant::now() < deadline, "job never finished");
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+        }
+    };
+    engine.shutdown();
+    served
+}
+
+/// `malec-cli run`, `malec-cli compare` and `Engine::submit` grow
+/// replicates by one stopping rule: on a `[compare]` spec with a
+/// `ci_target`, all three stop the pair at the same shared-seed count, and
+/// the local and served reports carry identical per-config counts and
+/// statistics.
+#[test]
+fn run_compare_and_submit_stop_at_identical_counts() {
+    let dir = tmp_dir("one_rule");
+    let toml = spec_toml("cmp_one_rule", 16, "min_seeds = 3\nci_target = 0.05\n");
+    let local =
+        run_parsed_spec(parse_spec(&toml).expect("spec"), "inline", &dir, None).expect("local run");
+    let paired = compare_parsed_spec(parse_spec(&toml).expect("spec"), "inline", &dir, None)
+        .expect("local compare");
+
+    let served = served_report(&toml);
+
+    let counts: Vec<usize> = local.replicates.iter().map(Vec::len).collect();
+    assert_eq!(counts.len(), 2);
+    assert_eq!(counts[0], counts[1], "the explicit pair grows in lockstep");
+    assert_eq!(counts[0], paired.stats.n as usize, "run and compare agree");
+    // Per config: label, replicate count, saved count, and every metric's
+    // mean / CI / min / max, as both reports render them.
+    let cells = |json: &str| {
+        let v = parse(json).expect("valid JSON");
+        let cells = v
+            .get("cells")
+            .and_then(Value::as_array)
+            .expect("cells")
+            .clone();
+        cells
+            .iter()
+            .map(|c| {
+                let field = |k: &str| format!("{:?}", c.get(k).expect(k));
+                [
+                    field("config"),
+                    field("replicates"),
+                    field("replicates_saved"),
+                    field("metrics"),
+                ]
+            })
+            .collect::<Vec<_>>()
+    };
+    let local_json = std::fs::read_to_string(&local.out_path).expect("local report");
+    let want = cells(&local_json);
+    assert_eq!(want[0][1], format!("{:?}", Value::Number(counts[0] as f64)));
+    assert_eq!(
+        cells(&served),
+        want,
+        "served counts and stats match the local run"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A config outside the `[compare]` pair stops on its own marginal CI,
+/// the pair on its paired delta, and `run` and `submit` agree on both.
+#[test]
+fn a_config_outside_the_pair_stops_on_its_own_under_run_and_submit() {
+    let dir = tmp_dir("third");
+    let toml = spec_toml(
+        "cmp_third",
+        10,
+        "configs = [\"Base1ldst\", \"Base2ld1st\", \"MALEC\"]\n\
+         min_seeds = 2\nci_target = 0.02\n",
+    );
+    let local =
+        run_parsed_spec(parse_spec(&toml).expect("spec"), "inline", &dir, None).expect("local run");
+    let reps = &local.replicates;
+    let rep = local.spec.replication;
+    let smallest = |n: usize, ok: &dyn Fn(usize) -> bool| ok(n) && (n == 2 || !ok(n - 1));
+    assert_eq!(reps[0].len(), reps[2].len(), "the pair grows in lockstep");
+    assert!(smallest(reps[0].len(), &|n| {
+        malec_core::compare::paired_converged(&rep, Alpha::Five, reps[0][..n].iter().zip(&reps[2]))
+    }));
+    assert!(smallest(reps[1].len(), &|n| rep.converged(&reps[1][..n])));
+
+    let v = parse(&served_report(&toml)).expect("valid JSON");
+    let served: Vec<u64> = v
+        .get("cells")
+        .and_then(Value::as_array)
+        .expect("cells")
+        .iter()
+        .map(|c| c.get("replicates").and_then(Value::as_u64).expect("count"))
+        .collect();
+    let local_counts: Vec<u64> = reps.iter().map(|r| r.len() as u64).collect();
+    assert_eq!(served, local_counts, "served counts match the local run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Without a `[compare]` section a `ci_target` stops every config on its
+/// own marginal CI, under `run` and `submit` alike.
+#[test]
+fn a_plain_ci_target_stops_each_config_alone_under_run_and_submit() {
+    let dir = tmp_dir("plain_target");
+    let toml = spec_toml("cmp_plain", 10, "min_seeds = 2\nci_target = 0.05\n").replace(
+        "[compare]\nbaseline = \"Base1ldst\"\ncandidate = \"MALEC\"\nalpha = 0.05\n",
+        "",
+    );
+    let spec = parse_spec(&toml).expect("spec");
+    assert!(spec.compare.is_none(), "the section is gone");
+    let local = run_parsed_spec(spec, "inline", &dir, None).expect("local run");
+    let rep = local.spec.replication;
+    for reps in &local.replicates {
+        let n = reps.len();
+        assert!(rep.converged(&reps[..n]) && (n == 2 || !rep.converged(&reps[..n - 1])));
+    }
+
+    let v = parse(&served_report(&toml)).expect("valid JSON");
+    let served: Vec<u64> = v
+        .get("cells")
+        .and_then(Value::as_array)
+        .expect("cells")
+        .iter()
+        .map(|c| c.get("replicates").and_then(Value::as_u64).expect("count"))
+        .collect();
+    let local_counts: Vec<u64> = local.replicates.iter().map(|r| r.len() as u64).collect();
+    assert_eq!(served, local_counts, "served counts match the local run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn compare_defaults_resolve_on_plain_replicated_specs() {
     // No [compare] section at all: the Table I default configs carry the

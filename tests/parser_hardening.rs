@@ -77,6 +77,7 @@ proptest! {
 
     /// The TOML parser returns a result — never panics — on arbitrary
     /// bytes decoded lossily (the service hands it request bodies).
+    #[test]
     fn toml_never_panics_on_arbitrary_bytes(words in proptest::collection::vec(proptest::num::u64::ANY, 0..64)) {
         let bytes = bytes_of(&words);
         let text = String::from_utf8_lossy(&bytes);
@@ -85,6 +86,7 @@ proptest! {
 
     /// Same for structured noise assembled from TOML-shaped fragments,
     /// which reaches the table/array/string paths plain garbage misses.
+    #[test]
     fn toml_never_panics_on_structured_noise(picks in proptest::collection::vec((0u8..16, proptest::num::u64::ANY), 0..40)) {
         let doc = assemble(&picks, &TOML_FRAGMENTS, "\n");
         let _ = toml::parse(&doc);
@@ -92,6 +94,7 @@ proptest! {
 
     /// The full spec layer (TOML parse + semantic validation) is panic-free
     /// on the same inputs — a bad spec over HTTP must always become a 400.
+    #[test]
     fn spec_never_panics_on_structured_noise(picks in proptest::collection::vec((0u8..16, proptest::num::u64::ANY), 0..40)) {
         let doc = assemble(&picks, &TOML_FRAGMENTS, "\n");
         let _ = parse_spec(&doc);
@@ -99,6 +102,7 @@ proptest! {
 
     /// The JSON reader is panic-free on arbitrary bytes (the CLI client
     /// hands it whatever a server returns).
+    #[test]
     fn json_never_panics_on_arbitrary_bytes(words in proptest::collection::vec(proptest::num::u64::ANY, 0..64)) {
         let bytes = bytes_of(&words);
         let text = String::from_utf8_lossy(&bytes);
@@ -107,6 +111,7 @@ proptest! {
 
     /// JSON-shaped noise: container tokens in hostile orders, truncated
     /// escapes, oversized numbers.
+    #[test]
     fn json_never_panics_on_structured_noise(picks in proptest::collection::vec((0u8..16, proptest::num::u64::ANY), 0..60)) {
         let doc = assemble(&picks, &JSON_FRAGMENTS, "");
         let _ = json::parse(&doc);
@@ -114,6 +119,7 @@ proptest! {
 
     /// Valid documents corrupted at one byte stay panic-free (the mirror of
     /// the TraceReader single-byte corruption suite).
+    #[test]
     fn corrupted_valid_spec_never_panics(offset in 0usize..220, byte in 0u8..255) {
         let good = "[scenario]\nname = \"p\"\nmode = \"mixed\"\nblock = 16\n\
                     [[scenario.part]]\nkind = \"benchmark\"\nbenchmark = \"gzip\"\nweight = 2\n\
