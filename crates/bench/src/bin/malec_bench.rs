@@ -2,16 +2,21 @@
 //!
 //! Runs a fixed workload (the three Table I configurations × eight
 //! representative benchmarks at `DEFAULT_INSTS` instructions, fixed seed)
-//! twice through `run_matrix` — serially (`Some(1)` worker), then with the
-//! `--jobs` cap — plus the scenario workload (the five preset scenarios ×
-//! {Base1ldst, MALEC} at `SCENARIO_INSTS`), and:
+//! through `run_matrix` — serially (`Some(1)` worker) `SERIAL_REPS` times,
+//! then once with the `--jobs` cap — plus the scenario workload (the five preset
+//! scenarios × {Base1ldst, MALEC} at `SCENARIO_INSTS`), and:
 //!
-//! 1. asserts the parallel matrix is **bit-identical** to the serial one;
-//! 2. asserts both — and the scenario cells — match the recorded golden
-//!    digests (`malec_bench::goldens`), so hot-path rewrites provably
+//! 1. asserts every serial repetition and the parallel matrix are
+//!    **bit-identical** to the first serial run;
+//! 2. asserts the matrix — and the scenario cells — match the recorded
+//!    golden digests (`malec_bench::goldens`), so hot-path rewrites provably
 //!    preserve simulated behavior;
-//! 3. writes wall-clock and cells/sec for both runs to
-//!    `BENCH_simulator.json` in the current working directory.
+//! 3. writes wall-clock and cells/sec to `BENCH_simulator.json` in the
+//!    current working directory: `serial` is the first serial run (and
+//!    `speedup` divides it by the parallel run), while `serial_reps` gives
+//!    the median, min, max and standard deviation of serial cells/sec over
+//!    all repetitions (host speed drifts between runs, so one run is not a
+//!    measurement).
 //!
 //! Flags: `--record` prints fresh `GOLDEN_DIGESTS` /
 //! `SCENARIO_GOLDEN_DIGESTS` tables instead of checking (use only after an
@@ -28,6 +33,7 @@ use malec_bench::goldens::{
 use malec_bench::{run_matrix, DEFAULT_INSTS};
 use malec_core::compare::CompareStats;
 use malec_core::parallel::workers_for;
+use malec_core::stats::Welford;
 use malec_core::RunSummary;
 use malec_trace::all_benchmarks;
 use malec_trace::profile::BenchmarkProfile;
@@ -38,6 +44,8 @@ const REQUIRED_SPEEDUP: f64 = 2.0;
 /// Cores needed before the speedup requirement is enforced (on a dual-core
 /// runner 2× is unreachable on principle; on ≥4 cores it is comfortable).
 const REQUIRED_SPEEDUP_MIN_WORKERS: usize = 4;
+/// How many times the serial matrix is timed.
+const SERIAL_REPS: usize = 3;
 
 fn configs() -> Vec<SimConfig> {
     vec![
@@ -62,6 +70,18 @@ fn benchmarks() -> Vec<BenchmarkProfile> {
 
 fn flat(matrix: &[Vec<RunSummary>]) -> impl Iterator<Item = &RunSummary> {
     matrix.iter().flat_map(|row| row.iter())
+}
+
+fn assert_same_cells(first: &[Vec<RunSummary>], other: &[Vec<RunSummary>], what: &str) {
+    for (s, p) in flat(first).zip(flat(other)) {
+        assert_eq!(
+            digest(s),
+            digest(p),
+            "{}/{}: {what} diverged from the first serial run",
+            s.benchmark,
+            s.config
+        );
+    }
 }
 
 fn check_goldens(matrix: &[Vec<RunSummary>]) {
@@ -159,6 +179,17 @@ fn json_str_list<S: AsRef<str>>(items: impl Iterator<Item = S>) -> String {
     format!("[{body}]")
 }
 
+/// The median of `xs` (the mean of the middle two for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len().is_multiple_of(2) {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    } else {
+        xs[mid]
+    }
+}
+
 #[allow(clippy::too_many_arguments)] // one artifact, many facts
 fn write_json(
     path: &str,
@@ -166,12 +197,23 @@ fn write_json(
     scenario_cells: &[RunSummary],
     scenario_s: f64,
     workers: usize,
-    serial_s: f64,
+    serial_reps_s: &[f64],
     parallel_s: f64,
     goldens: &str,
 ) {
     let cells = matrix.iter().map(Vec::len).sum::<usize>();
+    let serial_s = serial_reps_s[0];
     let speedup = serial_s / parallel_s;
+    let rates: Vec<f64> = serial_reps_s.iter().map(|s| cells as f64 / s).collect();
+    let mut spread = Welford::new();
+    for &r in &rates {
+        spread.push(r);
+    }
+    let n = rates.len();
+    let rate_median = median(rates);
+    let std_dev = spread
+        .std_dev()
+        .map_or_else(|| "null".to_owned(), |s| format!("{s:.3}"));
     // Labels come from the matrix itself so the artifact can never
     // disagree with the cells it describes.
     let config_list = json_str_list(matrix[0].iter().map(|s| s.config.as_str()));
@@ -189,7 +231,7 @@ fn write_json(
         "speedup requirement enforced at >=4 workers"
     };
     let json = format!(
-        "{{\n  \"bench\": \"malec_sweep_matrix\",\n  \"workload\": {{\n    \"configs\": {},\n    \"benchmarks\": {},\n    \"insts_per_cell\": {},\n    \"cells\": {}\n  }},\n  \"scenarios\": {{\n    \"names\": {},\n    \"insts_per_cell\": {},\n    \"cells\": {},\n    \"wall_seconds\": {:.4}\n  }},\n  \"workers\": {},\n  \"serial\": {{ \"wall_seconds\": {:.4}, \"cells_per_sec\": {:.3} }},\n  \"parallel\": {{ \"wall_seconds\": {:.4}, \"cells_per_sec\": {:.3} }},\n  \"speedup\": {:.3},\n  \"note\": \"{}\",\n  \"golden_digests\": \"{}\"\n}}\n",
+        "{{\n  \"bench\": \"malec_sweep_matrix\",\n  \"workload\": {{\n    \"configs\": {},\n    \"benchmarks\": {},\n    \"insts_per_cell\": {},\n    \"cells\": {}\n  }},\n  \"scenarios\": {{\n    \"names\": {},\n    \"insts_per_cell\": {},\n    \"cells\": {},\n    \"wall_seconds\": {:.4}\n  }},\n  \"workers\": {},\n  \"serial\": {{ \"wall_seconds\": {:.4}, \"cells_per_sec\": {:.3} }},\n  \"serial_reps\": {{ \"n\": {}, \"cells_per_sec_median\": {:.3}, \"cells_per_sec_min\": {:.3}, \"cells_per_sec_max\": {:.3}, \"cells_per_sec_std_dev\": {} }},\n  \"parallel\": {{ \"wall_seconds\": {:.4}, \"cells_per_sec\": {:.3} }},\n  \"speedup\": {:.3},\n  \"note\": \"{}\",\n  \"golden_digests\": \"{}\"\n}}\n",
         config_list,
         bench_list,
         DEFAULT_INSTS,
@@ -201,6 +243,11 @@ fn write_json(
         workers,
         serial_s,
         cells as f64 / serial_s,
+        n,
+        rate_median,
+        spread.min().expect("at least one repetition"),
+        spread.max().expect("at least one repetition"),
+        std_dev,
         parallel_s,
         cells as f64 / parallel_s,
         speedup,
@@ -239,13 +286,25 @@ fn main() {
         benchmarks.len()
     );
 
-    let t = Instant::now();
-    let serial = run_matrix(&benchmarks, &configs, DEFAULT_INSTS, Some(1));
-    let serial_s = t.elapsed().as_secs_f64();
-    eprintln!(
-        "  serial:   {serial_s:.3}s  ({:.2} cells/s)",
-        cells as f64 / serial_s
-    );
+    let mut serial = Vec::new();
+    let mut serial_reps_s = Vec::with_capacity(SERIAL_REPS);
+    for rep in 0..SERIAL_REPS {
+        let t = Instant::now();
+        let matrix = run_matrix(&benchmarks, &configs, DEFAULT_INSTS, Some(1));
+        let serial_s = t.elapsed().as_secs_f64();
+        eprintln!(
+            "  serial {}/{SERIAL_REPS}: {serial_s:.3}s  ({:.2} cells/s)",
+            rep + 1,
+            cells as f64 / serial_s
+        );
+        if rep == 0 {
+            serial = matrix;
+        } else {
+            assert_same_cells(&serial, &matrix, "serial repetition");
+        }
+        serial_reps_s.push(serial_s);
+    }
+    let serial_s = serial_reps_s[0];
 
     let t = Instant::now();
     let parallel = run_matrix(&benchmarks, &configs, DEFAULT_INSTS, jobs);
@@ -258,15 +317,7 @@ fn main() {
 
     // Scheduling must not leak into results: the parallel matrix is
     // bit-identical to the serial one, cell by cell.
-    for (s, p) in flat(&serial).zip(flat(&parallel)) {
-        assert_eq!(
-            digest(s),
-            digest(p),
-            "{}/{}: parallel result diverged from serial",
-            s.benchmark,
-            s.config
-        );
-    }
+    assert_same_cells(&serial, &parallel, "parallel result");
 
     let t = Instant::now();
     let scenario_cells = run_scenario_cells(jobs);
@@ -312,7 +363,7 @@ fn main() {
         &scenario_cells,
         scenario_s,
         workers,
-        serial_s,
+        &serial_reps_s,
         parallel_s,
         golden_status,
     );

@@ -6,14 +6,30 @@
 //! in-order commit (6-wide), and front-end stalls on mispredicted branches.
 //! Loads complete when the plugged [`L1DataInterface`] says their data
 //! arrived; everything else completes after a fixed execution latency.
+//!
+//! Issue walks **per-kind unissued bitmaps**, so ready entries blocked on a
+//! used-up resource cost nothing. Unissued ops, branches and loads sit in
+//! one bitmap each over the power-of-two ROB ring; unissued stores sit in a
+//! program-order queue of which only the front may issue. The walk visits
+//! candidates in program order with `trailing_zeros`, masking out each kind
+//! the moment its resource (ALUs, LQ entries, AGUs) runs out, and checks
+//! the one producer of each candidate it visits. Every entry waits on at
+//! most one producer, so that check is a single `done_at` comparison.
+//!
+//! The walk offers, claims AGUs and stalls exactly as a full program-order
+//! scan of the unissued entries would; that scan is kept as a test-only
+//! reference and checked differentially.
 
 use std::collections::VecDeque;
 
-use malec_trace::inst::TraceInst;
+use malec_trace::inst::{DepDistance, TraceInst};
 use malec_types::config::SimConfig;
 use malec_types::op::{MemOp, OpId};
 
 use crate::interface::L1DataInterface;
+
+#[cfg(test)]
+mod reference;
 
 /// Cycles to refill the front-end after a mispredicted branch resolves.
 const MISPREDICT_REFILL: u64 = 5;
@@ -24,6 +40,12 @@ const ALU_UNITS: usize = 4;
 const NO_DEP: u64 = u64::MAX;
 const UNKNOWN: u64 = u64::MAX;
 
+/// Unissued-bitmap lanes, one per issue resource class (stores are queued
+/// in `OoOCore::stores` instead).
+const OPS: usize = 0;
+const BRANCHES: usize = 1;
+const LOADS: usize = 2;
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum EntryKind {
     Op { latency: u8 },
@@ -32,13 +54,37 @@ enum EntryKind {
     Branch { mispredicted: bool },
 }
 
+/// Resolves a backward dependency distance of the instruction at absolute
+/// index `idx` to its producer's absolute index, or [`NO_DEP`].
+///
+/// A distance of 0 (an instruction cannot wait on itself) and a distance
+/// reaching before the start of the trace (the producer already executed)
+/// impose no constraint.
+fn dep_of(dist: Option<DepDistance>, idx: u64) -> u64 {
+    match dist {
+        Some(d) if d != 0 && u64::from(d) <= idx => idx - u64::from(d),
+        _ => NO_DEP,
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct RobEntry {
     kind: EntryKind,
     mem: Option<MemOp>,
-    deps: [u64; 2],
+    /// Cycle the result is available ([`UNKNOWN`] until issue, or until
+    /// the interface reports a load's data).
     done_at: u64,
-    issued: bool,
+    /// Absolute index of the producer this entry waits on, or [`NO_DEP`].
+    dep: u64,
+}
+
+impl RobEntry {
+    const VACANT: Self = Self {
+        kind: EntryKind::Op { latency: 0 },
+        mem: None,
+        done_at: UNKNOWN,
+        dep: NO_DEP,
+    };
 }
 
 /// Aggregate statistics of one run.
@@ -73,6 +119,10 @@ impl CoreStats {
 
 /// The out-of-order core bound to one L1 data interface.
 ///
+/// The ROB is a power-of-two ring indexed by an instruction's absolute
+/// (program-order) index; issue candidates are tracked by per-kind
+/// unissued bitmaps over that ring (see the [module docs](self)).
+///
 /// # Example
 ///
 /// ```no_run
@@ -96,7 +146,16 @@ pub struct OoOCore<I> {
     load_only_agus: u32,
     store_only_agus: u32,
     shared_agus: u32,
-    rob: VecDeque<RobEntry>,
+    /// The ROB ring; entry `idx` lives in slot `idx & ring_mask`. Live
+    /// entries are `rob_base..next_idx`.
+    rob: Vec<RobEntry>,
+    ring_mask: usize,
+    /// Per 64-slot word of the ring, one bitmap per lane: the unissued
+    /// entries of that kind. Vacant and issued slots are clear.
+    unissued: Vec<[u64; 3]>,
+    /// Unissued stores in program order. Stores claim store-buffer entries
+    /// in program order, so only the front one may ever be offered.
+    stores: VecDeque<u64>,
     rob_base: u64,
     next_idx: u64,
     cycle: u64,
@@ -105,12 +164,6 @@ pub struct OoOCore<I> {
     fe_resume_at: u64,
     stats: CoreStats,
     completed_buf: Vec<OpId>,
-    /// Issue candidates: absolute indices of not-yet-issued ROB entries in
-    /// program order. Issue walks this (typically short) list instead of
-    /// rescanning all 168 ROB entries every cycle; entries leave the moment
-    /// they issue and are compacted in place, so steady state allocates
-    /// nothing.
-    unissued: Vec<u64>,
 }
 
 impl<I: L1DataInterface> OoOCore<I> {
@@ -118,16 +171,21 @@ impl<I: L1DataInterface> OoOCore<I> {
     /// `interface`.
     pub fn new(config: &SimConfig, interface: I) -> Self {
         let agus = config.agus();
+        let rob_size = usize::from(config.rob_entries);
+        let ring = rob_size.next_power_of_two().max(64);
         Self {
             interface,
-            rob_size: usize::from(config.rob_entries),
+            rob_size,
             dispatch_width: usize::from(config.dispatch_width),
             issue_width: usize::from(config.issue_width),
             lq_entries: usize::from(config.lq_entries),
             load_only_agus: u32::from(agus.load_only),
             store_only_agus: u32::from(agus.store_only),
             shared_agus: u32::from(agus.shared),
-            rob: VecDeque::with_capacity(usize::from(config.rob_entries)),
+            rob: vec![RobEntry::VACANT; ring],
+            ring_mask: ring - 1,
+            unissued: vec![[0; 3]; ring / 64],
+            stores: VecDeque::with_capacity(rob_size),
             rob_base: 0,
             next_idx: 0,
             cycle: 0,
@@ -136,7 +194,6 @@ impl<I: L1DataInterface> OoOCore<I> {
             fe_resume_at: 0,
             stats: CoreStats::default(),
             completed_buf: Vec::with_capacity(8),
-            unissued: Vec::with_capacity(usize::from(config.rob_entries)),
         }
     }
 
@@ -167,26 +224,23 @@ impl<I: L1DataInterface> OoOCore<I> {
             let mut completed = std::mem::take(&mut self.completed_buf);
             self.interface.tick(self.cycle, &mut completed);
             for id in &completed {
-                let pos = id.0.checked_sub(self.rob_base).map(|o| o as usize);
-                if let Some(pos) = pos {
-                    if let Some(e) = self.rob.get_mut(pos) {
-                        debug_assert_eq!(e.kind, EntryKind::Load);
-                        e.done_at = self.cycle;
-                        self.inflight_loads -= 1;
-                    }
+                if (self.rob_base..self.next_idx).contains(&id.0) {
+                    let slot = self.slot(id.0);
+                    debug_assert_eq!(self.rob[slot].kind, EntryKind::Load);
+                    self.rob[slot].done_at = self.cycle;
+                    self.inflight_loads -= 1;
                 }
             }
             self.completed_buf = completed;
 
             // 2. Commit.
             let mut commits = 0;
-            while commits < self.dispatch_width {
-                let Some(head) = self.rob.front() else { break };
+            while commits < self.dispatch_width && self.rob_base < self.next_idx {
+                let idx = self.rob_base;
+                let head = self.rob[self.slot(idx)];
                 if head.done_at == UNKNOWN || head.done_at > self.cycle {
                     break;
                 }
-                let head = self.rob.pop_front().expect("front exists");
-                let idx = self.rob_base;
                 self.rob_base += 1;
                 commits += 1;
                 self.stats.committed += 1;
@@ -213,15 +267,15 @@ impl<I: L1DataInterface> OoOCore<I> {
             }
 
             // 5. Termination / watchdog.
-            if trace_done && self.rob.is_empty() {
+            let occupancy = self.next_idx - self.rob_base;
+            if trace_done && occupancy == 0 {
                 break;
             }
             if self.cycle.saturating_sub(last_commit_cycle) > DEADLOCK_LIMIT {
                 panic!(
                     "no commit for {DEADLOCK_LIMIT} cycles at cycle {}: \
-                     rob={} inflight={} pending={}",
+                     rob={occupancy} inflight={} pending={}",
                     self.cycle,
-                    self.rob.len(),
                     self.inflight_loads,
                     self.interface.pending_loads()
                 );
@@ -233,80 +287,91 @@ impl<I: L1DataInterface> OoOCore<I> {
         self.stats
     }
 
-    fn dep_satisfied(&self, dep: u64) -> bool {
-        if dep == NO_DEP || dep < self.rob_base {
-            return true;
-        }
-        let pos = (dep - self.rob_base) as usize;
-        match self.rob.get(pos) {
-            Some(e) => e.done_at != UNKNOWN && e.done_at <= self.cycle,
-            None => true,
-        }
+    fn slot(&self, idx: u64) -> usize {
+        idx as usize & self.ring_mask
     }
 
-    /// One issue pass over the unissued candidate list (program order).
-    ///
-    /// Behaviorally identical to scanning the whole ROB and skipping issued
-    /// entries — committed entries cannot appear here (commit requires a
-    /// `done_at`, which only issue or load completion sets), and entries
-    /// are appended in dispatch order — but the walk touches only the
-    /// entries that can still issue. Entries that issue this cycle are
-    /// dropped from the list by in-place compaction; everything else keeps
-    /// its (program-order) position.
+    fn mark_unissued(&mut self, slot: usize, lane: usize) {
+        self.unissued[slot >> 6][lane] |= 1 << (slot & 63);
+    }
+
+    fn clear_unissued(&mut self, slot: usize, lane: usize) {
+        self.unissued[slot >> 6][lane] &= !(1 << (slot & 63));
+    }
+
+    /// Whether the producer of the entry in `slot` has its result by now.
+    fn dep_satisfied(&self, slot: usize) -> bool {
+        let dep = self.rob[slot].dep;
+        dep == NO_DEP || dep < self.rob_base || self.rob[self.slot(dep)].done_at <= self.cycle
+    }
+
+    /// The oldest entry at or after `from` that may issue now: an unissued
+    /// branch, op (if `ops`) or load (if `loads`) whose producer is done,
+    /// or the oldest unissued store if its producer is done and `stores`.
+    fn next_candidate(&self, from: u64, ops: bool, loads: bool, stores: bool) -> Option<u64> {
+        let store = self
+            .stores
+            .front()
+            .copied()
+            .filter(|&s| stores && s >= from && self.dep_satisfied(self.slot(s)));
+        let end = store.unwrap_or(self.next_idx);
+        let op_mask = if ops { u64::MAX } else { 0 };
+        let load_mask = if loads { u64::MAX } else { 0 };
+        let mut pos = from;
+        while pos < end {
+            let slot = self.slot(pos);
+            let offset = slot & 63;
+            let w = &self.unissued[slot >> 6];
+            let mut bits = (w[BRANCHES] | (w[OPS] & op_mask) | (w[LOADS] & load_mask)) >> offset;
+            while bits != 0 {
+                let found = pos + u64::from(bits.trailing_zeros());
+                // A bit at or past `end` is a younger entry, or through the
+                // ring's wrap one the walk already passed: the store, if
+                // any, comes first.
+                if found >= end {
+                    return store;
+                }
+                if self.dep_satisfied(self.slot(found)) {
+                    return Some(found);
+                }
+                bits &= bits - 1;
+            }
+            pos += 64 - offset as u64;
+        }
+        store
+    }
+
+    /// One issue pass: the candidates in program order, each kind offered
+    /// only while its resource lasts.
     fn issue_cycle(&mut self) {
         let mut issued = 0usize;
-        let mut alu_used = 0usize;
+        let mut alu_free = ALU_UNITS;
         let mut load_agus = self.load_only_agus;
         let mut store_agus = self.store_only_agus;
         let mut shared_agus = self.shared_agus;
         let mut agu_stalled = false;
-        // Stores allocate store-buffer entries in program order; letting a
-        // younger store claim the last SB slot while an older one waits
-        // would deadlock the buffer (it drains strictly in order).
-        let mut older_store_unissued = false;
 
-        let mut kept = 0usize;
-        for u in 0..self.unissued.len() {
-            let idx = self.unissued[u];
-            // Issue width exhausted: everything further stays a candidate.
-            if issued >= self.issue_width {
-                self.unissued[kept] = idx;
-                kept += 1;
-                continue;
-            }
-            let pos = (idx - self.rob_base) as usize;
-            let e = self.rob[pos];
-            debug_assert!(!e.issued, "issued entries leave the candidate list");
-            let is_store = matches!(e.kind, EntryKind::Store);
-            let deps_ok = !(is_store && older_store_unissued)
-                && self.dep_satisfied(e.deps[0])
-                && self.dep_satisfied(e.deps[1]);
-            if !deps_ok {
-                if is_store {
-                    older_store_unissued = true;
-                }
-                self.unissued[kept] = idx;
-                kept += 1;
-                continue;
-            }
-            let mut did_issue = false;
+        let mut from = self.rob_base;
+        while issued < self.issue_width {
+            let loads_ok = self.inflight_loads < self.lq_entries && load_agus + shared_agus > 0;
+            let stores_ok = store_agus + shared_agus > 0;
+            let Some(idx) = self.next_candidate(from, alu_free > 0, loads_ok, stores_ok) else {
+                break;
+            };
+            from = idx + 1;
+            let slot = self.slot(idx);
+            let e = self.rob[slot];
             match e.kind {
                 EntryKind::Op { latency } => {
-                    if alu_used < ALU_UNITS {
-                        alu_used += 1;
-                        let entry = &mut self.rob[pos];
-                        entry.issued = true;
-                        entry.done_at = self.cycle + u64::from(latency);
-                        issued += 1;
-                        did_issue = true;
-                    }
+                    alu_free -= 1;
+                    self.clear_unissued(slot, OPS);
+                    self.rob[slot].done_at = self.cycle + u64::from(latency);
+                    issued += 1;
                 }
                 EntryKind::Branch { .. } => {
-                    let entry = &mut self.rob[pos];
-                    entry.issued = true;
-                    entry.done_at = self.cycle + 1;
+                    self.clear_unissued(slot, BRANCHES);
+                    self.rob[slot].done_at = self.cycle + 1;
                     issued += 1;
-                    did_issue = true;
                     // A mispredicted branch resolves here: schedule the
                     // front-end restart (resolution + refill).
                     if self.fe_blocked_on == Some(idx) {
@@ -315,67 +380,43 @@ impl<I: L1DataInterface> OoOCore<I> {
                     }
                 }
                 EntryKind::Load => {
-                    if self.inflight_loads < self.lq_entries {
-                        // Claim an AGU: prefer a load-only unit.
-                        let have_agu = if load_agus > 0 {
-                            load_agus -= 1;
-                            true
-                        } else if shared_agus > 0 {
-                            shared_agus -= 1;
-                            true
-                        } else {
-                            false
-                        };
-                        if have_agu {
-                            let op = e.mem.expect("load carries a MemOp");
-                            debug_assert_eq!(op.id, OpId(idx));
-                            if self.interface.offer_load(op).is_accepted() {
-                                let entry = &mut self.rob[pos];
-                                entry.issued = true;
-                                self.inflight_loads += 1;
-                                issued += 1;
-                                did_issue = true;
-                            } else {
-                                // The AGU cycle is wasted (the paper stalls
-                                // AGUs when the Input Buffer is full).
-                                agu_stalled = true;
-                            }
-                        }
+                    // Claim an AGU: prefer a load-only unit.
+                    if load_agus > 0 {
+                        load_agus -= 1;
+                    } else {
+                        shared_agus -= 1;
+                    }
+                    let op = e.mem.expect("load carries a MemOp");
+                    debug_assert_eq!(op.id, OpId(idx));
+                    if self.interface.offer_load(op).is_accepted() {
+                        self.clear_unissued(slot, LOADS);
+                        self.inflight_loads += 1;
+                        issued += 1;
+                    } else {
+                        // The AGU cycle is wasted (the paper stalls AGUs
+                        // when the Input Buffer is full).
+                        agu_stalled = true;
                     }
                 }
                 EntryKind::Store => {
-                    let have_agu = if store_agus > 0 {
+                    if store_agus > 0 {
                         store_agus -= 1;
-                        true
-                    } else if shared_agus > 0 {
+                    } else {
                         shared_agus -= 1;
-                        true
+                    }
+                    let op = e.mem.expect("store carries a MemOp");
+                    // A rejected store stays at the front of `stores`,
+                    // behind `from`: no younger store is offered this cycle.
+                    if self.interface.offer_store(op).is_accepted() {
+                        self.stores.pop_front();
+                        self.rob[slot].done_at = self.cycle + 1;
+                        issued += 1;
                     } else {
-                        false
-                    };
-                    if have_agu {
-                        let op = e.mem.expect("store carries a MemOp");
-                        if self.interface.offer_store(op).is_accepted() {
-                            let entry = &mut self.rob[pos];
-                            entry.issued = true;
-                            entry.done_at = self.cycle + 1;
-                            issued += 1;
-                            did_issue = true;
-                        } else {
-                            agu_stalled = true;
-                            older_store_unissued = true;
-                        }
-                    } else {
-                        older_store_unissued = true;
+                        agu_stalled = true;
                     }
                 }
             }
-            if !did_issue {
-                self.unissued[kept] = idx;
-                kept += 1;
-            }
         }
-        self.unissued.truncate(kept);
 
         if agu_stalled {
             self.stats.agu_stall_cycles += 1;
@@ -392,7 +433,7 @@ impl<I: L1DataInterface> OoOCore<I> {
         }
 
         for _ in 0..self.dispatch_width {
-            if self.rob.len() >= self.rob_size {
+            if self.next_idx - self.rob_base >= self.rob_size as u64 {
                 return false;
             }
             let Some(inst) = trace.next() else {
@@ -400,54 +441,44 @@ impl<I: L1DataInterface> OoOCore<I> {
             };
             let idx = self.next_idx;
             self.next_idx += 1;
-            let dep_of = |d: Option<u32>| match d {
-                // A distance reaching before the start of the trace means
-                // the producer already executed: no constraint.
-                Some(dist) if u64::from(dist) <= idx => idx - u64::from(dist),
-                _ => NO_DEP,
-            };
-            let entry = match inst {
-                TraceInst::Op { latency, dep } => RobEntry {
-                    kind: EntryKind::Op { latency },
-                    mem: None,
-                    deps: [dep_of(dep), NO_DEP],
-                    done_at: UNKNOWN,
-                    issued: false,
-                },
+            let (kind, mem, dep) = match inst {
+                TraceInst::Op { latency, dep } => (EntryKind::Op { latency }, None, dep),
                 TraceInst::Load {
                     vaddr,
                     size,
                     addr_dep,
-                } => RobEntry {
-                    kind: EntryKind::Load,
-                    mem: Some(MemOp::load(OpId(idx), vaddr, size)),
-                    deps: [dep_of(addr_dep), NO_DEP],
-                    done_at: UNKNOWN,
-                    issued: false,
-                },
+                } => (
+                    EntryKind::Load,
+                    Some(MemOp::load(OpId(idx), vaddr, size)),
+                    addr_dep,
+                ),
                 TraceInst::Store {
                     vaddr,
                     size,
                     data_dep,
-                } => RobEntry {
-                    kind: EntryKind::Store,
-                    mem: Some(MemOp::store(OpId(idx), vaddr, size)),
-                    deps: [dep_of(data_dep), NO_DEP],
-                    done_at: UNKNOWN,
-                    issued: false,
-                },
-                TraceInst::Branch { mispredicted, dep } => RobEntry {
-                    kind: EntryKind::Branch { mispredicted },
-                    mem: None,
-                    deps: [dep_of(dep), NO_DEP],
-                    done_at: UNKNOWN,
-                    issued: false,
-                },
+                } => (
+                    EntryKind::Store,
+                    Some(MemOp::store(OpId(idx), vaddr, size)),
+                    data_dep,
+                ),
+                TraceInst::Branch { mispredicted, dep } => {
+                    (EntryKind::Branch { mispredicted }, None, dep)
+                }
             };
-            let is_mispredict = matches!(entry.kind, EntryKind::Branch { mispredicted: true });
-            self.rob.push_back(entry);
-            self.unissued.push(idx);
-            if is_mispredict {
+            let slot = self.slot(idx);
+            self.rob[slot] = RobEntry {
+                kind,
+                mem,
+                done_at: UNKNOWN,
+                dep: dep_of(dep, idx),
+            };
+            match kind {
+                EntryKind::Op { .. } => self.mark_unissued(slot, OPS),
+                EntryKind::Branch { .. } => self.mark_unissued(slot, BRANCHES),
+                EntryKind::Load => self.mark_unissued(slot, LOADS),
+                EntryKind::Store => self.stores.push_back(idx),
+            }
+            if kind == (EntryKind::Branch { mispredicted: true }) {
                 self.fe_blocked_on = Some(idx);
                 return false;
             }
@@ -462,16 +493,22 @@ mod tests {
     use crate::interface::AcceptKind;
     use malec_types::addr::VAddr;
 
+    /// One offer the core made: cycle, op, store?, accepted?
+    type Offer = (u64, OpId, bool, bool);
+
     /// Fixed-latency interface: every load completes `latency` cycles after
-    /// acceptance; accepts up to `per_cycle` loads per cycle.
+    /// acceptance; accepts up to `per_cycle` loads per cycle and rejects
+    /// every store offered before cycle `stores_from`.
     #[derive(Debug)]
     struct FixedLatency {
         latency: u64,
         per_cycle: usize,
+        stores_from: u64,
         accepted_this_cycle: usize,
         inflight: Vec<(u64, OpId)>,
         cycle: u64,
         commits_seen: Vec<OpId>,
+        offers: Vec<Offer>,
     }
 
     impl FixedLatency {
@@ -479,11 +516,31 @@ mod tests {
             Self {
                 latency,
                 per_cycle,
+                stores_from: 0,
                 accepted_this_cycle: 0,
                 inflight: Vec::new(),
                 cycle: 0,
                 commits_seen: Vec::new(),
+                offers: Vec::new(),
             }
+        }
+
+        /// Cycle of the first offer of `id`.
+        fn first_offer(&self, id: u64) -> u64 {
+            self.offers
+                .iter()
+                .find(|o| o.1 == OpId(id))
+                .map(|o| o.0)
+                .expect("op was offered")
+        }
+
+        /// Cycle `id` was accepted.
+        fn accepted_at(&self, id: u64) -> u64 {
+            self.offers
+                .iter()
+                .find(|o| o.1 == OpId(id) && o.3)
+                .map(|o| o.0)
+                .expect("op was accepted")
         }
     }
 
@@ -502,7 +559,9 @@ mod tests {
         }
 
         fn offer_load(&mut self, op: MemOp) -> AcceptKind {
-            if self.accepted_this_cycle >= self.per_cycle {
+            let accept = self.accepted_this_cycle < self.per_cycle;
+            self.offers.push((self.cycle, op.id, false, accept));
+            if !accept {
                 return AcceptKind::Rejected;
             }
             self.accepted_this_cycle += 1;
@@ -510,8 +569,14 @@ mod tests {
             AcceptKind::Accepted
         }
 
-        fn offer_store(&mut self, _op: MemOp) -> AcceptKind {
-            AcceptKind::Accepted
+        fn offer_store(&mut self, op: MemOp) -> AcceptKind {
+            let accept = self.cycle >= self.stores_from;
+            self.offers.push((self.cycle, op.id, true, accept));
+            if accept {
+                AcceptKind::Accepted
+            } else {
+                AcceptKind::Rejected
+            }
         }
 
         fn commit_store(&mut self, id: OpId) {
@@ -528,6 +593,14 @@ mod tests {
             vaddr: VAddr::new(addr),
             size: 4,
             addr_dep: None,
+        }
+    }
+
+    fn st(addr: u64, data_dep: Option<DepDistance>) -> TraceInst {
+        TraceInst::Store {
+            vaddr: VAddr::new(addr),
+            size: 4,
+            data_dep,
         }
     }
 
@@ -564,14 +637,7 @@ mod tests {
 
     #[test]
     fn store_commit_is_notified() {
-        let trace = vec![
-            TraceInst::Store {
-                vaddr: VAddr::new(0x2000),
-                size: 4,
-                data_dep: None,
-            },
-            op(),
-        ];
+        let trace = vec![st(0x2000, None), op()];
         let (stats, iface) = run_trace(trace, FixedLatency::new(2, 4));
         assert_eq!(stats.stores, 1);
         assert_eq!(iface.commits_seen, vec![OpId(0)]);
@@ -679,5 +745,94 @@ mod tests {
             "independent ops should flow near dispatch width: {ipc}"
         );
         assert!(ipc <= 6.01);
+    }
+
+    #[test]
+    fn dep_distance_zero_is_no_constraint() {
+        // A distance of 0 names the instruction itself; it used to make
+        // the entry wait on its own result until the watchdog fired.
+        let trace = vec![
+            TraceInst::Op {
+                latency: 1,
+                dep: Some(0),
+            },
+            TraceInst::Load {
+                vaddr: VAddr::new(0x1000),
+                size: 4,
+                addr_dep: Some(0),
+            },
+            st(0x2000, Some(0)),
+            TraceInst::Branch {
+                mispredicted: true,
+                dep: Some(0),
+            },
+        ];
+        let (stats, iface) = run_trace(trace, FixedLatency::new(2, 4));
+        assert_eq!(stats.committed, 4);
+        // Both memory ops were free to issue in the first issue cycle.
+        assert_eq!(iface.first_offer(1), 1);
+        assert_eq!(iface.first_offer(2), 1);
+        assert_eq!(dep_of(Some(0), 7), NO_DEP);
+        assert_eq!(dep_of(Some(8), 7), NO_DEP);
+        assert_eq!(dep_of(Some(7), 7), 0);
+    }
+
+    #[test]
+    fn latency_zero_producer_lets_a_younger_consumer_issue_in_the_same_cycle() {
+        let consumer = TraceInst::Load {
+            vaddr: VAddr::new(0x1000),
+            size: 4,
+            addr_dep: Some(1),
+        };
+        let offer_cycle = |latency| {
+            let trace = vec![TraceInst::Op { latency, dep: None }, consumer];
+            let (stats, iface) = run_trace(trace, FixedLatency::new(2, 4));
+            assert_eq!(stats.committed, 2);
+            iface.first_offer(1)
+        };
+        // Both are dispatched in cycle 0; the producer issues in cycle 1.
+        assert_eq!(offer_cycle(0), 1, "latency 0: same-cycle issue");
+        assert_eq!(offer_cycle(1), 2);
+        assert_eq!(offer_cycle(3), 4);
+    }
+
+    #[test]
+    fn younger_store_waits_behind_a_dependency_blocked_older_store() {
+        // Store 1 waits on a 10-cycle load; store 2 is ready at once and
+        // MALEC has two store-capable AGUs, yet it must not be offered
+        // before store 1.
+        let trace = vec![ld(0x1000), st(0x2000, Some(1)), st(0x3000, None)];
+        let (stats, iface) = run_trace(trace, FixedLatency::new(10, 4));
+        assert_eq!(stats.committed, 3);
+        assert_eq!(iface.first_offer(1), 11);
+        assert_eq!(iface.first_offer(2), iface.accepted_at(1));
+        assert_eq!(iface.commits_seen, vec![OpId(1), OpId(2)]);
+    }
+
+    #[test]
+    fn younger_store_waits_behind_a_rejected_older_store() {
+        let trace = vec![st(0x2000, None), st(0x3000, None), op()];
+        let mut iface = FixedLatency::new(2, 4);
+        iface.stores_from = 5;
+        let (stats, iface) = run_trace(trace, iface);
+        assert_eq!(stats.committed, 3);
+        // Store 0 is offered (and rejected) every cycle 1..5; store 1 is
+        // never offered while it is outstanding, despite a free AGU.
+        let store0: Vec<_> = iface.offers.iter().filter(|o| o.1 == OpId(0)).collect();
+        assert_eq!(store0.len(), 5);
+        assert_eq!(iface.accepted_at(0), 5);
+        assert_eq!(iface.first_offer(1), 5);
+        assert_eq!(stats.agu_stall_cycles, 4);
+    }
+
+    #[test]
+    fn alu_saturated_independent_ops_issue_four_per_cycle() {
+        // Dispatch (6) outruns the 4 ALUs, so from cycle 1 on exactly four
+        // ops issue every cycle: 4000 ops issue in cycles 1..=1000 and the
+        // last commits in cycle 1001.
+        let trace: Vec<TraceInst> = (0..4000).map(|_| op()).collect();
+        let (stats, _) = run_trace(trace, FixedLatency::new(2, 4));
+        assert_eq!(stats.issued_ops, 4000);
+        assert_eq!(stats.cycles, 1001);
     }
 }

@@ -4,7 +4,9 @@ use malec_types::addr::VAddr;
 
 /// A backward dependency distance in dynamic instructions (1 = the
 /// immediately preceding instruction). Distances larger than the ROB never
-/// constrain anything.
+/// constrain anything. A distance of 0 (the instruction itself) and one
+/// reaching before the start of the trace constrain nothing either; the
+/// generators never emit 0, but hand-built and replayed traces may.
 pub type DepDistance = u32;
 
 /// One dynamic instruction of a synthetic trace.

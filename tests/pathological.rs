@@ -306,3 +306,42 @@ fn mixed_sizes_and_subblock_crossers() {
         assert_eq!(stats.committed, 800, "{}", cfg.label());
     }
 }
+
+#[test]
+fn zero_dependency_distances_replay_and_commit_everything() {
+    // A distance of 0 is not something the generators emit, but the public
+    // `TraceInst` and the `.mtr` format (wire value 1) both carry it. It
+    // names the instruction itself and must constrain nothing; it used to
+    // deadlock the core until the watchdog fired.
+    let trace: Vec<TraceInst> = (0..600u64)
+        .map(|i| match i % 4 {
+            0 => TraceInst::Op {
+                latency: 1,
+                dep: Some(0),
+            },
+            1 => TraceInst::Load {
+                vaddr: VAddr::new(0x8000 + i * 8),
+                size: 4,
+                addr_dep: Some(0),
+            },
+            2 => TraceInst::Store {
+                vaddr: VAddr::new(0x9000 + i * 8),
+                size: 4,
+                data_dep: Some(0),
+            },
+            _ => TraceInst::Branch {
+                mispredicted: i % 8 == 3,
+                dep: Some(0),
+            },
+        })
+        .collect();
+    let mut mtr = Vec::new();
+    malec_trace::write_trace(&mut mtr, trace.iter().copied()).expect("in-memory write");
+    let replayed = malec_trace::read_trace(&mut mtr.as_slice()).expect("in-memory read");
+    assert_eq!(replayed, trace, "distance 0 round-trips through .mtr");
+    for cfg in all_configs() {
+        let stats = run(&cfg, replayed.clone());
+        assert_eq!(stats.committed, 600, "{}", cfg.label());
+        assert_eq!(stats.stores, 150, "{}", cfg.label());
+    }
+}
