@@ -3,8 +3,10 @@
 //!
 //! `crates/serve` holds several mutexes (`cache`, `in_flight`, `jobs`,
 //! `queue`, `handles`, the fault registry's `points`, the appender's
-//! `inner`) and avoids deadlock purely by convention: the only permitted
-//! nesting is `cache` before `in_flight`, and every acquisition must
+//! `inner`, the client's idle-connection slot `idle`) and avoids deadlock
+//! purely by convention: the only permitted nesting is `cache` before
+//! `in_flight` (`idle`, like the rest, is always taken alone), and every
+//! acquisition must
 //! route through the poison-recovering `serve::sync::lock` funnel so a
 //! panicking worker can never wedge its peers.
 //!

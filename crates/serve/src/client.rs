@@ -2,6 +2,14 @@
 //! into small typed views. `malec-cli submit` / `status` are thin wrappers
 //! over this module, and the integration tests drive servers through it.
 //!
+//! A [`Client`] keeps at most one idle kept-alive connection, shared by its
+//! clones, and sends each call on it when it can. A call on a reused
+//! connection that fails before a byte of the response arrives — the
+//! server closed the idle connection, or restarted — is resent once on a
+//! fresh connection; that resend is not a retry under the policy. A `503`,
+//! `408` or `400` answer, or one saying `Connection: close`, drops the
+//! connection. Record fetches and cache syncs stay one-shot.
+//!
 //! Every v1 request is **idempotent** — job submission is content-addressed
 //! (an identical resubmission dedups against the cache and any in-flight
 //! simulation), and status/report/shutdown are safe to repeat — so the
@@ -11,12 +19,14 @@
 //! the policy's own backoff ceiling — a misbehaving peer advertising
 //! `Retry-After: 86400` must not park a client for a day.
 
-use std::io::Read;
+use std::io::{self, Read};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::cache::{decode_single_record, CacheStats};
-use crate::http::{request_meta, request_stream};
+use crate::http::{closed_before_response, request_stream, ClientConn, Response};
 use crate::json::{parse, Value};
+use crate::sync::lock;
 
 use malec_core::RunSummary;
 
@@ -120,6 +130,10 @@ fn retryable_status(status: u16) -> bool {
 pub struct Client {
     addr: String,
     retry: RetryPolicy,
+    /// The idle kept-alive connection, shared by clones. A call takes it
+    /// out and puts it back after a reusable answer; the lock is taken
+    /// alone and never held across I/O.
+    idle: Arc<Mutex<Option<ClientConn>>>,
 }
 
 /// A client-side view of one job's status.
@@ -215,6 +229,7 @@ impl Client {
         Self {
             addr: addr.into(),
             retry: RetryPolicy::none(),
+            idle: Arc::default(),
         }
     }
 
@@ -225,13 +240,41 @@ impl Client {
         self
     }
 
+    /// One request/response exchange, on the idle connection when there is
+    /// one. A reused connection that fails before a byte of the response
+    /// arrives is resent once on a fresh connection: every v1 request is
+    /// idempotent, and the resend uses up no retry of the policy.
+    fn round_trip(&self, method: &str, path: &str, body: &[u8]) -> io::Result<Response> {
+        let idle = lock(&self.idle).take();
+        let reused = match idle {
+            Some(mut conn) => conn
+                .exchange(method, path, body, true)?
+                .map(|resp| (conn, resp)),
+            None => None,
+        };
+        let (conn, resp) = match reused {
+            Some(done) => done,
+            None => {
+                let mut conn = ClientConn::open(&self.addr, REQUEST_TIMEOUT)?;
+                let resp = conn
+                    .exchange(method, path, body, true)?
+                    .ok_or_else(closed_before_response)?;
+                (conn, resp)
+            }
+        };
+        if resp.keep_alive && !matches!(resp.status, 400 | 408 | 503) {
+            *lock(&self.idle) = Some(conn);
+        }
+        Ok(resp)
+    }
+
     /// One call under the retry policy. Connection errors, timeouts, and
     /// retryable statuses back off and retry; everything else returns on
     /// the first attempt. A `Retry-After` header overrides the backoff.
     fn call(&self, method: &str, path: &str, body: &[u8]) -> Result<(u16, String), String> {
         let mut attempt = 0u32;
         loop {
-            let outcome = request_meta(&self.addr, method, path, body, REQUEST_TIMEOUT);
+            let outcome = self.round_trip(method, path, body);
             let (fail, retry_after) = match &outcome {
                 Ok(resp) if !retryable_status(resp.status) => {
                     return Ok((resp.status, resp.body.clone()))
@@ -390,7 +433,7 @@ impl Client {
         let mut polls = 0u32;
         let mut transport_failures = 0u32;
         loop {
-            match request_meta(&self.addr, "GET", &path, b"", REQUEST_TIMEOUT) {
+            match self.round_trip("GET", &path, b"") {
                 Ok(resp) if (200..300).contains(&resp.status) => {
                     transport_failures = 0;
                     let v = parse(&resp.body)
@@ -767,24 +810,39 @@ mod tests {
     type Reply = (u16, Vec<(&'static str, &'static str)>, &'static str);
 
     /// A hand-rolled one-route server: answers `replies[i]` to request
-    /// `i` (reading each request first), then exits.
-    fn scripted_server(replies: Vec<Reply>) -> (String, std::thread::JoinHandle<()>) {
+    /// `i`, each kept-alive, serving a connection until its client closes
+    /// it; exits after the last reply and returns the connections it
+    /// accepted.
+    fn scripted_server(replies: Vec<Reply>) -> (String, std::thread::JoinHandle<usize>) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
-        let n = replies.len();
         let handle = std::thread::spawn(move || {
-            for (conn, (status, headers, body)) in listener.incoming().take(n).zip(replies) {
-                let mut conn = conn.expect("accept");
-                let _ = crate::http::read_request_deadline(&conn, Duration::from_secs(5));
-                crate::http::write_response_with(
-                    &mut conn,
-                    status,
-                    "application/json",
-                    &headers,
-                    body.as_bytes(),
-                )
-                .expect("write response");
+            let mut replies = replies.into_iter().peekable();
+            let mut connections = 0;
+            while replies.peek().is_some() {
+                let (conn, _) = listener.accept().expect("accept");
+                connections += 1;
+                let mut requests = crate::http::RequestReader::new(&conn, Duration::from_secs(5));
+                while requests.await_request() {
+                    let Some((status, headers, body)) = replies.next() else {
+                        break;
+                    };
+                    requests.read_request().expect("scripted request");
+                    crate::http::write_response(
+                        &conn,
+                        status,
+                        "application/json",
+                        &headers,
+                        body.as_bytes(),
+                        true,
+                    )
+                    .expect("write response");
+                    if replies.peek().is_none() {
+                        break;
+                    }
+                }
             }
+            connections
         });
         (addr, handle)
     }
@@ -823,7 +881,11 @@ mod tests {
             "a day-long Retry-After must be capped at the policy ceiling, waited {:?}",
             start.elapsed()
         );
-        server.join().expect("server thread");
+        assert_eq!(
+            server.join().expect("server thread"),
+            2,
+            "a 503 drops the kept-alive connection"
+        );
     }
 
     #[test]
@@ -849,7 +911,7 @@ mod tests {
             "a day-long Retry-After must not stall the poll loop, waited {:?}",
             start.elapsed()
         );
-        server.join().expect("server thread");
+        assert_eq!(server.join().expect("server thread"), 2);
     }
 
     #[test]
@@ -880,5 +942,67 @@ mod tests {
         assert!(err.contains("panic:"), "{err}");
         client.shutdown().expect("shutdown");
         server.join().expect("clean exit");
+    }
+
+    const HEALTHY: &str = "{\n  \"ok\": true\n}\n";
+
+    #[test]
+    fn clones_share_the_one_idle_connection() {
+        let (addr, server) = scripted_server(vec![(200, vec![], HEALTHY); 3]);
+        let a = Client::new(addr);
+        let b = a.clone();
+        assert!(a.healthy());
+        assert!(b.healthy(), "the clone reuses a's idle connection");
+        assert!(a.healthy());
+        assert_eq!(server.join().expect("server thread"), 1);
+    }
+
+    #[test]
+    fn a_connection_the_server_closed_while_idle_is_resent_without_a_retry() {
+        // The server's total read budget closes an idle connection silently;
+        // the next call finds the pooled connection dead before any answer
+        // and must resend it on a fresh one, even under a fail-fast policy.
+        let server = Server::bind_with(
+            "127.0.0.1:0",
+            crate::server::ServeOptions {
+                workers: Some(1),
+                request_deadline: Duration::from_millis(150),
+                ..crate::server::ServeOptions::default()
+            },
+        )
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+        let client = Client::new(server.addr().to_string()).with_retry(RetryPolicy::none());
+        assert!(client.healthy());
+        std::thread::sleep(Duration::from_millis(400));
+        assert!(client.healthy(), "the stale connection is resent");
+        client.shutdown().expect("shutdown");
+        server.join().expect("clean exit");
+    }
+
+    #[test]
+    fn a_connection_to_a_restarted_server_is_resent_without_a_retry() {
+        let start = |addr: &str| {
+            Server::bind(addr, Some(1), None)
+                .expect("bind")
+                .spawn()
+                .expect("spawn")
+        };
+        let first = start("127.0.0.1:0");
+        let addr = first.addr().to_string();
+        let (a, b) = (Client::new(&addr), Client::new(&addr));
+        assert!(a.healthy() && b.healthy(), "each pools a connection");
+        // Stopped through another connection, so both keep their own.
+        crate::http::request(&addr, "POST", "/v1/shutdown?mode=abort", b"").expect("shutdown");
+        first.join().expect("clean exit");
+        assert!(
+            !a.healthy(),
+            "a stopped server's kept-alive connection must not answer"
+        );
+        let second = start(&addr);
+        assert!(b.healthy(), "resent to the restarted server");
+        b.shutdown().expect("shutdown");
+        second.join().expect("clean exit");
     }
 }

@@ -3,11 +3,21 @@
 //! this workspace already carries (the build environment has no network
 //! crates).
 //!
-//! Server side: [`read_request`] parses one request (request line, headers,
-//! `Content-Length` body) off a stream; [`write_response`] emits a complete
-//! `Connection: close` response. Client side: [`request`] performs one
-//! round trip. One request per connection keeps the framing trivial —
-//! connection reuse buys nothing for a localhost batch API.
+//! Connections persist (RFC 9112 §9.3): one TCP connection carries request
+//! after request until either side says `Connection: close`. On localhost a
+//! TCP connect plus the server's handler thread costs more than a cached
+//! request itself, so a kept-alive connection is most of the saving.
+//!
+//! Server side: a [`RequestReader`] parses the requests of one connection
+//! (request line, headers, `Content-Length` body) through one read buffer,
+//! so the bytes of a pipelined next request are never dropped. An HTTP/1.0
+//! request, or one saying `Connection: close`, is its connection's last.
+//! [`write_response`] emits a complete response, head and body in one
+//! write, with the `Connection` header the caller picks.
+//!
+//! Client side: a [`ClientConn`] exchanges requests over one connection and
+//! reports whether the server keeps it open. [`request`] and
+//! [`request_meta`] are one-shot round trips over the same exchange.
 //!
 //! Binary endpoints (`/v1/cache/sync`) stream instead of buffering:
 //! [`write_response_head`] emits the head and lets the handler write the
@@ -19,10 +29,12 @@
 //! A malformed or oversized request produces a clean error (the server
 //! turns it into `400`), never a panic or an unbounded allocation.
 //!
-//! Time is bounded too: [`read_request_deadline`] spends at most a fixed
-//! **total** budget reading one request, counted across every byte — a
-//! slow-loris client trickling one byte per socket-timeout window gets cut
-//! off at the deadline, not kept alive indefinitely by per-read timeouts.
+//! Time is bounded too: a [`RequestReader`] spends at most a fixed
+//! **total** budget reading its connection, counted across every byte of
+//! every request — a slow-loris client trickling one byte per
+//! socket-timeout window, or one sending a fresh request just before each
+//! idle timeout would fire, is cut off at the budget, not kept alive
+//! indefinitely by per-read timeouts.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -47,6 +59,9 @@ pub struct Request {
     pub query: String,
     /// Request body (empty without a `Content-Length`).
     pub body: Vec<u8>,
+    /// Whether the client may send another request on this connection:
+    /// HTTP/1.1 without `Connection: close`.
+    pub keep_alive: bool,
 }
 
 impl Request {
@@ -134,31 +149,41 @@ impl Read for DeadlineStream<'_> {
     }
 }
 
-/// Parses one request off `stream`.
-///
-/// # Errors
-///
-/// Returns `InvalidData` for malformed or over-limit requests and
-/// propagates socket errors.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    let mut reader = BufReader::new(stream);
-    parse_request(&mut reader)
+/// The server side of one connection: every request it carries is parsed
+/// through one read buffer, under one total read budget.
+pub struct RequestReader<'a> {
+    reader: BufReader<DeadlineStream<'a>>,
 }
 
-/// Parses one request off `stream`, spending at most `deadline` in total —
-/// the slow-loris defense: a client may not hold a handler thread longer
-/// than the budget no matter how slowly it drips bytes.
-///
-/// # Errors
-///
-/// Returns `TimedOut` when the budget runs out, `InvalidData` for
-/// malformed or over-limit requests, and propagates socket errors.
-pub fn read_request_deadline(stream: &TcpStream, deadline: Duration) -> io::Result<Request> {
-    let mut reader = BufReader::new(DeadlineStream {
-        stream,
-        deadline: Instant::now() + deadline,
-    });
-    parse_request(&mut reader)
+impl<'a> RequestReader<'a> {
+    /// Starts reading `stream`, which may take at most `budget` in total —
+    /// the slow-loris defense: a client may not hold a handler thread
+    /// longer than the budget however it paces its bytes.
+    pub fn new(stream: &'a TcpStream, budget: Duration) -> Self {
+        Self {
+            reader: BufReader::new(DeadlineStream {
+                stream,
+                deadline: Instant::now() + budget,
+            }),
+        }
+    }
+
+    /// Waits for the first byte of the next request. `false` when the
+    /// client closed the connection, or the budget ran out, first: the
+    /// idle end of a connection, which closes without a response.
+    pub fn await_request(&mut self) -> bool {
+        self.reader.fill_buf().is_ok_and(|buf| !buf.is_empty())
+    }
+
+    /// Parses the next request.
+    ///
+    /// # Errors
+    ///
+    /// Returns `TimedOut` when the budget runs out, `InvalidData` for
+    /// malformed or over-limit requests, and propagates socket errors.
+    pub fn read_request(&mut self) -> io::Result<Request> {
+        parse_request(&mut self.reader)
+    }
 }
 
 fn parse_request(reader: &mut impl BufRead) -> io::Result<Request> {
@@ -178,6 +203,9 @@ fn parse_request(reader: &mut impl BufRead) -> io::Result<Request> {
     if !path.starts_with('/') {
         return Err(bad("request target must be an absolute path"));
     }
+    // HTTP/1.1 connections persist by default; HTTP/1.0, or a request line
+    // without a version, closes after one exchange.
+    let mut keep_alive = parts.next() == Some("HTTP/1.1");
 
     let mut content_length: Option<usize> = None;
     // One extra iteration beyond MAX_HEADERS for the terminating blank
@@ -192,6 +220,7 @@ fn parse_request(reader: &mut impl BufRead) -> io::Result<Request> {
                 path,
                 query,
                 body,
+                keep_alive,
             });
         }
         let Some((name, value)) = line.split_once(':') else {
@@ -203,9 +232,27 @@ fn parse_request(reader: &mut impl BufRead) -> io::Result<Request> {
                 return Err(bad("body too large"));
             }
             content_length = Some(len);
+        } else if name.eq_ignore_ascii_case("connection") && says_close(value) {
+            keep_alive = false;
         }
     }
     Err(bad("too many headers"))
+}
+
+/// Whether a `Connection` header value lists the `close` option.
+fn says_close(value: &str) -> bool {
+    value
+        .split(',')
+        .any(|option| option.trim().eq_ignore_ascii_case("close"))
+}
+
+/// The `Connection` header value announcing `keep_alive`.
+fn connection(keep_alive: bool) -> &'static str {
+    if keep_alive {
+        "keep-alive"
+    } else {
+        "close"
+    }
 }
 
 /// Parses one `Content-Length` value against any previously seen one.
@@ -242,39 +289,19 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete `Connection: close` response.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_response(
-    stream: &mut TcpStream,
+/// A response head: status line, `Content-Type`, `Content-Length`,
+/// `Connection`, the extra headers, blank line.
+fn response_head(
     status: u16,
     content_type: &str,
-    body: &[u8],
-) -> io::Result<()> {
-    write_response_with(stream, status, content_type, &[], body)
-}
-
-/// [`write_response`] with extra headers (e.g. `Retry-After` on a `503`).
-/// Header names and values must be token-clean; the caller controls them.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_response_with(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
+    content_length: usize,
     extra_headers: &[(&str, &str)],
-    body: &[u8],
-) -> io::Result<()> {
+    keep_alive: bool,
+) -> String {
     let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        status,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {content_length}\r\nConnection: {}\r\n",
         reason(status),
-        content_type,
-        body.len(),
+        connection(keep_alive),
     );
     for (name, value) in extra_headers {
         head.push_str(name);
@@ -283,31 +310,46 @@ pub fn write_response_with(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    head
 }
 
-/// Writes only the response head (status line, `Content-Type`,
-/// `Content-Length`, `Connection: close`, blank line) for a body the
-/// caller streams itself — exactly `content_length` bytes must follow.
+/// Writes a complete response, head and body in one write. Extra headers
+/// (e.g. `Retry-After` on a `503`) must be token-clean; the caller controls
+/// them. `keep_alive` says whether the server will read another request
+/// from this connection.
+///
+/// # Errors
+///
+/// Propagates socket errors.
+pub fn write_response(
+    mut w: impl Write,
+    status: u16,
+    content_type: &str,
+    extra_headers: &[(&str, &str)],
+    body: &[u8],
+    keep_alive: bool,
+) -> io::Result<()> {
+    let mut message =
+        response_head(status, content_type, body.len(), extra_headers, keep_alive).into_bytes();
+    message.extend_from_slice(body);
+    w.write_all(&message)?;
+    w.flush()
+}
+
+/// Writes only the response head for a body the caller streams itself —
+/// exactly `content_length` bytes must follow.
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
 pub fn write_response_head(
-    stream: &mut TcpStream,
+    mut w: impl Write,
     status: u16,
     content_type: &str,
     content_length: usize,
+    keep_alive: bool,
 ) -> io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {content_length}\r\nConnection: close\r\n\r\n",
-        status,
-        reason(status),
-        content_type,
-    );
-    stream.write_all(head.as_bytes())
+    w.write_all(response_head(status, content_type, content_length, &[], keep_alive).as_bytes())
 }
 
 /// One complete HTTP response as the client sees it.
@@ -320,6 +362,134 @@ pub struct Response {
     /// A parsed `Retry-After: <seconds>` header, if the server sent one
     /// (the saturation gate does, on `503`).
     pub retry_after: Option<u64>,
+    /// Whether the connection may carry another request: the server
+    /// answered HTTP/1.1 without `Connection: close`, and framed the body
+    /// with a `Content-Length`.
+    pub keep_alive: bool,
+}
+
+/// A response's status line and headers.
+struct Head {
+    status: u16,
+    content_length: Option<usize>,
+    retry_after: Option<u64>,
+    /// HTTP/1.1 without `Connection: close`.
+    keep_alive: bool,
+}
+
+/// A client connection, which can carry one request after another while
+/// the server keeps it open.
+#[derive(Debug)]
+pub struct ClientConn {
+    reader: BufReader<TcpStream>,
+}
+
+impl ClientConn {
+    /// Connects to `addr`. `timeout` bounds the connect and every later
+    /// read and write separately: a batch API must never hang a client
+    /// forever on a wedged peer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates connection errors.
+    pub fn open(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Self> {
+        let stream = connect_timeout(addr, timeout)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Ok(Self {
+            reader: BufReader::new(stream),
+        })
+    }
+
+    /// Sends one request, head and body in one write.
+    fn send(&mut self, method: &str, path: &str, body: &[u8], keep_alive: bool) -> io::Result<()> {
+        let mut message = format!(
+            "{method} {path} HTTP/1.1\r\nHost: malec-serve\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+            body.len(),
+            connection(keep_alive),
+        )
+        .into_bytes();
+        message.extend_from_slice(body);
+        self.reader.get_mut().write_all(&message)
+    }
+
+    /// Sends one request and reads its response; `keep_alive` asks the
+    /// server to keep the connection open afterwards. `Ok(None)`: the
+    /// connection failed before a byte of the response arrived — as a
+    /// kept-alive connection does once the server has closed it — so the
+    /// request can be sent again on a fresh one. A timeout is an error,
+    /// not `None`: the server may still be working on the request.
+    ///
+    /// # Errors
+    ///
+    /// Returns timeouts, socket errors once the response has begun, and
+    /// `InvalidData` for a malformed or oversized response.
+    pub fn exchange(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &[u8],
+        keep_alive: bool,
+    ) -> io::Result<Option<Response>> {
+        let started = self
+            .send(method, path, body, keep_alive)
+            .and_then(|()| self.reader.fill_buf().map(|buf| !buf.is_empty()));
+        match started {
+            Ok(true) => self.read_response().map(Some),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+                ) =>
+            {
+                Err(e)
+            }
+            Ok(false) | Err(_) => Ok(None),
+        }
+    }
+
+    fn read_response(&mut self) -> io::Result<Response> {
+        let head = read_response_head(&mut self.reader)?;
+        let body = match head.content_length {
+            Some(len) if len > MAX_BODY => return Err(bad("response too large")),
+            Some(len) => {
+                let mut buf = vec![0u8; len];
+                self.reader.read_exact(&mut buf)?;
+                buf
+            }
+            // A response without a length ends at connection close.
+            None => {
+                let mut buf = Vec::new();
+                self.reader
+                    .by_ref()
+                    .take(MAX_BODY as u64 + 1)
+                    .read_to_end(&mut buf)?;
+                if buf.len() > MAX_BODY {
+                    return Err(bad("response too large"));
+                }
+                buf
+            }
+        };
+        let body = String::from_utf8(body).map_err(|_| bad("response body is not UTF-8"))?;
+        Ok(Response {
+            status: head.status,
+            body,
+            retry_after: head.retry_after,
+            // Bytes past the framed body would be misread as the next
+            // response: such a connection is not reused.
+            keep_alive: head.keep_alive
+                && head.content_length.is_some()
+                && self.reader.buffer().is_empty(),
+        })
+    }
+}
+
+/// The error for a connection that closed before its response began.
+pub(crate) fn closed_before_response() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "connection closed before the response",
+    )
 }
 
 /// Default per-call network timeout for [`request`].
@@ -343,7 +513,8 @@ pub fn request(
 
 /// [`request`] with an explicit timeout (applied to connect, reads, and
 /// writes separately) and response metadata — the retry layer needs the
-/// `Retry-After` header, not just the status.
+/// `Retry-After` header, not just the status. One exchange on a fresh
+/// connection that asks the server to close it.
 ///
 /// # Errors
 ///
@@ -356,57 +527,28 @@ pub fn request_meta(
     body: &[u8],
     timeout: Duration,
 ) -> io::Result<Response> {
-    let mut stream = connect_timeout(addr, timeout)?;
-    // A batch API must never hang a client forever on a wedged peer.
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: malec-serve\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()?;
-
-    let mut reader = BufReader::new(stream);
-    let (status, content_length, retry_after) = read_response_head(&mut reader)?;
-    if content_length.is_some_and(|len| len > MAX_BODY) {
-        return Err(bad("response too large"));
-    }
-    let body = match content_length {
-        Some(len) => {
-            let mut buf = vec![0u8; len];
-            reader.read_exact(&mut buf)?;
-            buf
-        }
-        // Connection: close responses without a length end at EOF.
-        None => {
-            let mut buf = Vec::new();
-            reader.take(MAX_BODY as u64).read_to_end(&mut buf)?;
-            buf
-        }
-    };
-    let body = String::from_utf8(body).map_err(|_| bad("response body is not UTF-8"))?;
-    Ok(Response {
-        status,
-        body,
-        retry_after,
-    })
+    ClientConn::open(addr, timeout)?
+        .exchange(method, path, body, false)?
+        .ok_or_else(closed_before_response)
 }
 
-/// Parses a response's status line and headers off `reader`, returning
-/// `(status, content_length, retry_after)` and leaving the reader at the
-/// first body byte. Shared by the buffering and streaming clients; body
-/// size limits are the caller's policy.
-fn read_response_head(reader: &mut impl BufRead) -> io::Result<(u16, Option<usize>, Option<u64>)> {
+/// Parses a response's status line and headers off `reader`, leaving the
+/// reader at the first body byte. Shared by the buffering and streaming
+/// clients; body size limits are the caller's policy.
+fn read_response_head(reader: &mut impl BufRead) -> io::Result<Head> {
     let status_line = read_line(reader)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
+    let mut parts = status_line.split_whitespace();
+    let version = parts.next();
+    let status: u16 = parts
+        .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad(format!("bad status line `{status_line}`")))?;
-    let mut content_length: Option<usize> = None;
-    let mut retry_after: Option<u64> = None;
+    let mut head = Head {
+        status,
+        content_length: None,
+        retry_after: None,
+        keep_alive: version == Some("HTTP/1.1"),
+    };
     let mut headers_ended = false;
     for _ in 0..=MAX_HEADERS {
         let line = read_line(reader)?;
@@ -416,11 +558,13 @@ fn read_response_head(reader: &mut impl BufRead) -> io::Result<(u16, Option<usiz
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = Some(parse_content_length(value, content_length)?);
+                head.content_length = Some(parse_content_length(value, head.content_length)?);
             } else if name.eq_ignore_ascii_case("retry-after") {
                 // Only the delta-seconds form; an unparsable value (the
                 // HTTP-date form) is ignored, not an error.
-                retry_after = value.trim().parse().ok();
+                head.retry_after = value.trim().parse().ok();
+            } else if name.eq_ignore_ascii_case("connection") && says_close(value) {
+                head.keep_alive = false;
             }
         }
     }
@@ -429,7 +573,7 @@ fn read_response_head(reader: &mut impl BufRead) -> io::Result<(u16, Option<usiz
         // the body; refuse like the server side does.
         return Err(bad("too many headers in response"));
     }
-    Ok((status, content_length, retry_after))
+    Ok(head)
 }
 
 /// A streaming response body: bounded by the response's `Content-Length`
@@ -461,21 +605,14 @@ pub fn request_stream(
     path: &str,
     timeout: Duration,
 ) -> io::Result<(u16, ByteStream)> {
-    let mut stream = connect_timeout(addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: malec-serve\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
-    let (status, content_length, _) = read_response_head(&mut reader)?;
-    let limit = content_length.map_or(u64::MAX, |l| l as u64);
+    let mut conn = ClientConn::open(addr, timeout)?;
+    conn.send(method, path, b"", false)?;
+    let head = read_response_head(&mut conn.reader)?;
+    let limit = head.content_length.map_or(u64::MAX, |l| l as u64);
     Ok((
-        status,
+        head.status,
         ByteStream {
-            reader: reader.take(limit),
+            reader: conn.reader.take(limit),
         },
     ))
 }
@@ -501,27 +638,33 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    const BUDGET: Duration = Duration::from_secs(5);
+
+    /// Reads one request off a fresh connection.
+    fn read_one(stream: &TcpStream) -> io::Result<Request> {
+        RequestReader::new(stream, BUDGET).read_request()
+    }
+
     /// One-shot echo server: accepts a single connection, parses the
     /// request, responds with its own view of it.
     fn spawn_echo() -> std::net::SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().expect("accept");
-            match read_request(&mut stream) {
-                Ok(req) => {
-                    let body = format!(
+            let (stream, _) = listener.accept().expect("accept");
+            let (status, body) = match read_one(&stream) {
+                Ok(req) => (
+                    200,
+                    format!(
                         "{} {} {}",
                         req.method,
                         req.path,
                         String::from_utf8_lossy(&req.body)
-                    );
-                    write_response(&mut stream, 200, "text/plain", body.as_bytes()).ok();
-                }
-                Err(e) => {
-                    write_response(&mut stream, 400, "text/plain", e.to_string().as_bytes()).ok();
-                }
-            }
+                    ),
+                ),
+                Err(e) => (400, e.to_string()),
+            };
+            write_response(&stream, status, "text/plain", &[], body.as_bytes(), false).ok();
         });
         addr
     }
@@ -571,6 +714,7 @@ mod tests {
             path: "/v1/shutdown".into(),
             query: "mode=abort&x=1".into(),
             body: Vec::new(),
+            keep_alive: false,
         };
         assert_eq!(req.query_param("mode"), Some("abort"));
         assert_eq!(req.query_param("x"), Some("1"));
@@ -585,7 +729,8 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().expect("accept");
             let started = std::time::Instant::now();
-            let err = read_request_deadline(&stream, Duration::from_millis(200))
+            let err = RequestReader::new(&stream, Duration::from_millis(200))
+                .read_request()
                 .expect_err("dripped request must time out");
             (err, started.elapsed())
         });
@@ -612,14 +757,15 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().expect("accept");
-            read_request(&mut stream).ok();
-            write_response_with(
-                &mut stream,
+            let (stream, _) = listener.accept().expect("accept");
+            read_one(&stream).ok();
+            write_response(
+                &stream,
                 503,
                 "application/json",
                 &[("Retry-After", "7")],
                 b"{\"error\": \"saturated\"}",
+                false,
             )
             .ok();
         });
@@ -668,7 +814,7 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
-            read_request(&mut stream).ok();
+            read_one(&stream).ok();
             stream
                 .write_all(
                     b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello",
@@ -695,9 +841,15 @@ mod tests {
         let expected = payload.clone();
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
-            read_request(&mut stream).ok();
-            write_response_head(&mut stream, 200, "application/octet-stream", payload.len())
-                .expect("head");
+            read_one(&stream).ok();
+            write_response_head(
+                &stream,
+                200,
+                "application/octet-stream",
+                payload.len(),
+                false,
+            )
+            .expect("head");
             let (a, b) = payload.split_at(payload.len() / 2);
             stream.write_all(a).expect("first half");
             stream.flush().ok();
@@ -718,16 +870,37 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().expect("accept");
-            match read_request(&mut stream) {
-                Ok(_) => write_response(&mut stream, 200, "text/plain", b"ok").ok(),
-                Err(_) => write_response(&mut stream, 400, "text/plain", b"bad").ok(),
+            let (stream, _) = listener.accept().expect("accept");
+            let (status, body) = match read_one(&stream) {
+                Ok(_) => (200, "ok"),
+                Err(_) => (400, "bad"),
             };
+            write_response(&stream, status, "text/plain", &[], body.as_bytes(), false).ok();
         });
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.write_all(b"NOT-HTTP\r\n\r\n").expect("write");
         let mut out = String::new();
         stream.read_to_string(&mut out).expect("read");
         assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+    }
+
+    #[test]
+    fn close_delimited_bodies_over_the_cap_are_refused() {
+        // A body with no Content-Length ends at connection close; one
+        // longer than the cap must fail like an oversized declared length,
+        // not arrive silently cut to its first MAX_BODY bytes.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            read_one(&stream).ok();
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n")
+                .ok();
+            stream.write_all(&vec![b'a'; MAX_BODY + 10]).ok();
+        });
+        let err = request(addr, "GET", "/", b"").expect_err("must refuse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("response too large"), "{err}");
     }
 }

@@ -16,7 +16,10 @@
 //!
 //! Submissions are asynchronous: `POST /v1/jobs` returns as soon as the
 //! spec is sharded into the queue, and clients poll the status endpoint.
-//! Each connection carries one request (`Connection: close`); connections
+//! Connections persist: a handler serves request after request on its
+//! connection until the client sends HTTP/1.0 or `Connection: close`, or
+//! goes quiet. It closes the connection after a malformed request, a
+//! `408`, a shed `503`, a control-lane answer, or a shutdown. Connections
 //! are handled on their own threads, so slow clients never block the
 //! accept loop or each other.
 //!
@@ -25,9 +28,12 @@
 //! connections get `503` + `Retry-After` without being read — except a
 //! small reserved control lane, which still reads the request and serves
 //! it if it is a health check or a shutdown: saturation must never make
-//! the server unobservable or unstoppable), each request
-//! must arrive within [`ServeOptions::request_deadline`] **total** (the
-//! slow-loris bound), and writes carry [`ServeOptions::io_timeout`].
+//! the server unobservable or unstoppable), each connection may spend at
+//! most [`ServeOptions::request_deadline`] **in total** reading requests
+//! (the slow-loris bound: a client holds a handler no longer, however it
+//! paces its bytes or requests; a connection that runs out while idle is
+//! closed without a response), and writes carry
+//! [`ServeOptions::io_timeout`].
 //! Shutdown defaults to graceful: stop accepting, let in-flight jobs run
 //! to completion (bounded by [`ServeOptions::drain_timeout`]), fsync the
 //! cache log, exit. `POST /v1/shutdown?mode=abort` skips the drain.
@@ -42,9 +48,7 @@ use std::time::Duration;
 
 use crate::cache::{CacheStats, FsyncPolicy};
 use crate::fault::{FaultAction, Faults};
-use crate::http::{
-    read_request_deadline, write_response, write_response_head, write_response_with, Request,
-};
+use crate::http::{write_response, write_response_head, Request, RequestReader};
 use crate::report::esc;
 use crate::scheduler::{CompareError, Engine, EngineOptions, JobStatus};
 use crate::spec::{parse_spec, SweepSpec};
@@ -67,8 +71,9 @@ pub struct ServeOptions {
     /// Concurrent connection handlers; excess connections are answered
     /// `503` + `Retry-After: 1` without reading the request.
     pub max_connections: usize,
-    /// Total budget for reading one request off the wire — however slowly
-    /// the client drips bytes (the slow-loris bound).
+    /// Total read budget of one connection, across every request it
+    /// carries — however slowly the client drips bytes (the slow-loris
+    /// bound).
     pub request_deadline: Duration,
     /// Socket write timeout for responses.
     pub io_timeout: Duration,
@@ -239,15 +244,11 @@ impl Server {
                         let deadline = self.opts.request_deadline;
                         std::thread::spawn(move || {
                             let _slot = slot;
-                            let mut stream = stream;
-                            handle_saturated(&mut stream, &engine, &stop, &abort, addr, deadline);
+                            handle_saturated(&stream, &engine, &stop, &abort, addr, deadline);
                         });
                     }
                     None => {
-                        std::thread::spawn(move || {
-                            let mut stream = stream;
-                            shed(&mut stream);
-                        });
+                        std::thread::spawn(move || shed(&stream));
                     }
                 }
                 if self.stop.load(Ordering::SeqCst) {
@@ -266,8 +267,7 @@ impl Server {
             let deadline = self.opts.request_deadline;
             std::thread::spawn(move || {
                 let _slot = slot;
-                let mut stream = stream;
-                handle_connection(&mut stream, &engine, &stop, &abort, addr, deadline);
+                handle_connection(&stream, &engine, &stop, &abort, addr, deadline);
             });
             if self.stop.load(Ordering::SeqCst) {
                 break;
@@ -360,53 +360,84 @@ impl Drop for SlotGuard {
     }
 }
 
+/// Where a response goes: the connection's socket, and whether the
+/// connection stays open for another request (its `Connection` header).
+struct Reply<'a> {
+    stream: &'a TcpStream,
+    keep_alive: bool,
+}
+
+/// Serves the requests of one connection until the client asks to close,
+/// goes quiet, or runs out of its total read budget `deadline`.
 fn handle_connection(
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     engine: &Engine,
     stop: &AtomicBool,
     abort: &AtomicBool,
     self_addr: SocketAddr,
     deadline: Duration,
 ) {
-    // Failpoint: stall before reading, so a test can hold this handler's
-    // slot (or trip the client's timeout) deterministically.
-    engine.faults().check_delay("http.read.stall");
-    let request = match read_request_deadline(stream, deadline) {
-        Ok(r) => r,
-        Err(e) => {
-            let status = if e.kind() == io::ErrorKind::TimedOut {
-                408
-            } else {
-                400
-            };
-            respond_error(stream, status, &e.to_string());
+    let mut requests = RequestReader::new(stream, deadline);
+    let mut first = true;
+    while requests.await_request() {
+        // A kept-alive connection outliving a shutdown closes unanswered:
+        // its client resends on a fresh connection and finds the server
+        // gone, as if it had connected after the stop.
+        if !first && stop.load(Ordering::SeqCst) {
             return;
         }
-    };
-    // Failpoint: answer with a 500 before routing — the retryable server
-    // error the client's backoff is built for.
-    if let Some(FaultAction::Error) = engine.faults().check("http.respond.500") {
-        respond_error(
+        first = false;
+        // Failpoint: stall before reading, so a test can hold this handler's
+        // slot (or trip the client's timeout) deterministically.
+        engine.faults().check_delay("http.read.stall");
+        let request = match requests.read_request() {
+            Ok(r) => r,
+            Err(e) => {
+                let status = if e.kind() == io::ErrorKind::TimedOut {
+                    408
+                } else {
+                    400
+                };
+                let mut out = Reply {
+                    stream,
+                    keep_alive: false,
+                };
+                respond_error(&mut out, status, &e.to_string());
+                return;
+            }
+        };
+        let mut out = Reply {
             stream,
-            500,
-            "injected server error (failpoint http.respond.500)",
-        );
-        return;
+            keep_alive: request.keep_alive && !stop.load(Ordering::SeqCst),
+        };
+        // Failpoint: answer with a 500 before routing — the retryable server
+        // error the client's backoff is built for.
+        if let Some(FaultAction::Error) = engine.faults().check("http.respond.500") {
+            respond_error(
+                &mut out,
+                500,
+                "injected server error (failpoint http.respond.500)",
+            );
+        } else {
+            dispatch(&mut out, engine, stop, abort, self_addr, &request);
+        }
+        if !out.keep_alive {
+            return;
+        }
     }
-    dispatch(stream, engine, stop, abort, self_addr, &request);
 }
 
 /// Routes one parsed request and runs the shutdown protocol if it asked
 /// for one — shared by the normal handler and the saturated control lane.
 fn dispatch(
-    stream: &mut TcpStream,
+    out: &mut Reply<'_>,
     engine: &Engine,
     stop: &AtomicBool,
     abort: &AtomicBool,
     self_addr: SocketAddr,
     request: &Request,
 ) {
-    if let Some(mode) = route(stream, engine, request) {
+    if let Some(mode) = route(out, engine, request) {
         if mode == ShutdownMode::Abort {
             abort.store(true, Ordering::SeqCst);
         }
@@ -427,57 +458,63 @@ fn dispatch(
     }
 }
 
-/// The saturated-server control lane: reads the request (bounded by the
+/// The saturated-server control lane: reads one request (bounded by the
 /// same deadline as a normal handler) and serves it only if it is a
-/// control route; everything else is shed exactly like a slot-less
-/// connection. No failpoints here — they live in [`handle_connection`],
-/// and the control lane must stay dependable precisely when the rest of
-/// the server is being tortured.
+/// control route, then closes; everything else is shed exactly like a
+/// slot-less connection. No failpoints here — they live in
+/// [`handle_connection`], and the control lane must stay dependable
+/// precisely when the rest of the server is being tortured.
 fn handle_saturated(
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     engine: &Engine,
     stop: &AtomicBool,
     abort: &AtomicBool,
     self_addr: SocketAddr,
     deadline: Duration,
 ) {
-    let Ok(request) = read_request_deadline(stream, deadline) else {
+    let Ok(request) = RequestReader::new(stream, deadline).read_request() else {
         shed(stream);
         return;
     };
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/v1/healthz") | ("POST", "/v1/shutdown") => {
-            dispatch(stream, engine, stop, abort, self_addr, &request);
+            let mut out = Reply {
+                stream,
+                keep_alive: false,
+            };
+            dispatch(&mut out, engine, stop, abort, self_addr, &request);
         }
         _ => shed(stream),
     }
 }
 
-/// The shed response: a retryable `503` with `Retry-After: 1`.
-fn shed(stream: &mut TcpStream) {
-    write_response_with(
+/// The shed response: a retryable `503` with `Retry-After: 1`, closing
+/// the connection.
+fn shed(stream: &TcpStream) {
+    write_response(
         stream,
         503,
         "application/json",
         &[("Retry-After", "1")],
         b"{\n  \"error\": \"server saturated, retry shortly\"\n}\n",
+        false,
     )
     .ok();
 }
 
 /// Dispatches one request; returns the shutdown mode for a shutdown
 /// request.
-fn route(stream: &mut TcpStream, engine: &Engine, request: &Request) -> Option<ShutdownMode> {
+fn route(out: &mut Reply<'_>, engine: &Engine, request: &Request) -> Option<ShutdownMode> {
     let path = request.path.as_str();
     match (request.method.as_str(), path) {
-        ("POST", "/v1/jobs") => handle_submit(stream, engine, request),
+        ("POST", "/v1/jobs") => handle_submit(out, engine, request),
         ("GET", "/v1/cache/stats") => {
             let body = cache_stats_json(&engine.cache_stats(), engine);
-            respond_json(stream, 200, &body);
+            respond_json(out, 200, &body);
         }
         ("POST", "/v1/cache/compact") => match engine.compact_cache() {
             Ok(o) => respond_json(
-                stream,
+                out,
                 200,
                 &format!(
                     "{{\n  \"compacted\": true,\n  \"bytes_before\": {},\n  \"bytes_after\": {},\n  \"live_records\": {}\n}}\n",
@@ -486,13 +523,13 @@ fn route(stream: &mut TcpStream, engine: &Engine, request: &Request) -> Option<S
             ),
             // In-memory caches have no log; a 400, not a server fault.
             Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
-                respond_error(stream, 400, &e.to_string());
+                respond_error(out, 400, &e.to_string());
             }
-            Err(e) => respond_error(stream, 500, &e.to_string()),
+            Err(e) => respond_error(out, 500, &e.to_string()),
         },
-        ("GET", "/v1/cache/sync") => handle_cache_sync(stream, engine),
+        ("GET", "/v1/cache/sync") => handle_cache_sync(out, engine),
         ("GET", _) if path.starts_with("/v1/cache/record/") => {
-            handle_cache_record(stream, engine, path);
+            handle_cache_record(out, engine, path);
         }
         ("GET", "/v1/healthz") => {
             let peers = engine
@@ -507,7 +544,7 @@ fn route(stream: &mut TcpStream, engine: &Engine, request: &Request) -> Option<S
                 engine.respawns(),
                 engine.faults().fired_total(),
             );
-            respond_json(stream, 200, &body);
+            respond_json(out, 200, &body);
         }
         ("POST", "/v1/shutdown") => {
             let mode = match request.query_param("mode") {
@@ -515,7 +552,7 @@ fn route(stream: &mut TcpStream, engine: &Engine, request: &Request) -> Option<S
                 Some("drain") | None => ShutdownMode::Drain,
                 Some(other) => {
                     respond_error(
-                        stream,
+                        out,
                         400,
                         &format!("unknown shutdown mode `{other}` (want `drain` or `abort`)"),
                     );
@@ -526,16 +563,17 @@ fn route(stream: &mut TcpStream, engine: &Engine, request: &Request) -> Option<S
                 ShutdownMode::Drain => "drain",
                 ShutdownMode::Abort => "abort",
             };
+            out.keep_alive = false;
             respond_json(
-                stream,
+                out,
                 200,
                 &format!("{{\n  \"stopping\": true,\n  \"mode\": \"{label}\"\n}}\n"),
             );
             return Some(mode);
         }
-        ("GET", _) if path.starts_with("/v1/jobs/") => handle_job_get(stream, engine, path),
+        ("GET", _) if path.starts_with("/v1/jobs/") => handle_job_get(out, engine, path),
         _ => respond_error(
-            stream,
+            out,
             404,
             &format!("no route for {} {path}", request.method),
         ),
@@ -543,11 +581,11 @@ fn route(stream: &mut TcpStream, engine: &Engine, request: &Request) -> Option<S
     None
 }
 
-fn handle_submit(stream: &mut TcpStream, engine: &Engine, request: &Request) {
+fn handle_submit(out: &mut Reply<'_>, engine: &Engine, request: &Request) {
     let text = match request.body_utf8() {
         Ok(t) => t,
         Err(_) => {
-            respond_error(stream, 400, "spec body must be UTF-8 TOML");
+            respond_error(out, 400, "spec body must be UTF-8 TOML");
             return;
         }
     };
@@ -559,7 +597,7 @@ fn handle_submit(stream: &mut TcpStream, engine: &Engine, request: &Request) {
             let source = match request.query_param("configs") {
                 Some(list) => {
                     if let Err(e) = restrict_configs(&mut spec, list) {
-                        respond_error(stream, 400, &e);
+                        respond_error(out, 400, &e);
                         return;
                     }
                     None
@@ -573,9 +611,9 @@ fn handle_submit(stream: &mut TcpStream, engine: &Engine, request: &Request) {
             let body = format!(
                 "{{\n  \"job\": {job},\n  \"cells\": {cells},\n  \"status_url\": \"/v1/jobs/{job}\"\n}}\n"
             );
-            respond_json(stream, 202, &body);
+            respond_json(out, 202, &body);
         }
-        Err(e) => respond_error(stream, 400, &e.to_string()),
+        Err(e) => respond_error(out, 400, &e.to_string()),
     }
 }
 
@@ -612,8 +650,10 @@ const SYNC_CHUNK_RECORDS: usize = 64;
 /// Streams the live record set in cache-log format, encoding bounded
 /// chunks from a snapshot of shared summaries instead of materializing the
 /// whole log as one buffer. Stream errors are logged, not swallowed.
-fn handle_cache_sync(stream: &mut TcpStream, engine: &Engine) {
-    if let Err(e) = stream_cache_sync(stream, engine) {
+fn handle_cache_sync(out: &mut Reply<'_>, engine: &Engine) {
+    if let Err(e) = stream_cache_sync(out, engine) {
+        // The body fell short of its Content-Length: the framing is lost.
+        out.keep_alive = false;
         eprintln!("malec-serve: cache sync stream failed: {e}");
     }
 }
@@ -622,9 +662,16 @@ fn handle_cache_sync(stream: &mut TcpStream, engine: &Engine) {
 /// failpoint sits between the header and each chunk, so tests can
 /// deterministically cut or delay a sync mid-stream — the receiver's
 /// record-by-record verification keeps the delivered prefix either way.
-fn stream_cache_sync(stream: &mut TcpStream, engine: &Engine) -> io::Result<()> {
+fn stream_cache_sync(out: &Reply<'_>, engine: &Engine) -> io::Result<()> {
     let (records, body_len) = engine.sync_records();
-    write_response_head(stream, 200, "application/octet-stream", body_len as usize)?;
+    let mut stream = out.stream;
+    write_response_head(
+        stream,
+        200,
+        "application/octet-stream",
+        body_len as usize,
+        out.keep_alive,
+    )?;
     stream.write_all(&crate::cache::log_header())?;
     stream.flush()?;
     let mut buf = Vec::new();
@@ -643,11 +690,11 @@ fn stream_cache_sync(stream: &mut TcpStream, engine: &Engine) -> io::Result<()> 
 /// Serves one cached record in single-record cache-log format — the
 /// peer-miss fetch path of sharded serving. A 404 is an answer, not an
 /// error: the asking peer falls back to simulating locally.
-fn handle_cache_record(stream: &mut TcpStream, engine: &Engine, path: &str) {
+fn handle_cache_record(out: &mut Reply<'_>, engine: &Engine, path: &str) {
     let hex = &path["/v1/cache/record/".len()..];
     let Ok(key) = u128::from_str_radix(hex, 16) else {
         respond_error(
-            stream,
+            out,
             400,
             &format!("bad record key `{hex}` (want hex digits)"),
         );
@@ -655,9 +702,17 @@ fn handle_cache_record(stream: &mut TcpStream, engine: &Engine, path: &str) {
     };
     match engine.cache_record(key) {
         Some(body) => {
-            write_response(stream, 200, "application/octet-stream", &body).ok();
+            write_response(
+                out.stream,
+                200,
+                "application/octet-stream",
+                &[],
+                &body,
+                out.keep_alive,
+            )
+            .ok();
         }
-        None => respond_error(stream, 404, &format!("no record for key {key:032x}")),
+        None => respond_error(out, 404, &format!("no record for key {key:032x}")),
     }
 }
 
@@ -668,7 +723,7 @@ enum JobQuery {
     Compare,
 }
 
-fn handle_job_get(stream: &mut TcpStream, engine: &Engine, path: &str) {
+fn handle_job_get(out: &mut Reply<'_>, engine: &Engine, path: &str) {
     let rest = &path["/v1/jobs/".len()..];
     let (id_text, query) = if let Some(id) = rest.strip_suffix("/report") {
         (id, JobQuery::Report)
@@ -678,29 +733,29 @@ fn handle_job_get(stream: &mut TcpStream, engine: &Engine, path: &str) {
         (rest, JobQuery::Status)
     };
     let Ok(id) = id_text.parse::<u64>() else {
-        respond_error(stream, 400, &format!("bad job id `{id_text}`"));
+        respond_error(out, 400, &format!("bad job id `{id_text}`"));
         return;
     };
     match query {
         JobQuery::Report => match engine.job_report(id) {
-            None => respond_error(stream, 404, &format!("unknown job {id}")),
+            None => respond_error(out, 404, &format!("unknown job {id}")),
             Some(Err(status)) => {
                 // 409: the resource exists but is not in a fetchable state.
-                respond_json(stream, 409, &job_status_json(&status));
+                respond_json(out, 409, &job_status_json(&status));
             }
-            Some(Ok(report)) => respond_json(stream, 200, &report),
+            Some(Ok(report)) => respond_json(out, 200, &report),
         },
         JobQuery::Compare => match engine.job_compare(id) {
-            None => respond_error(stream, 404, &format!("unknown job {id}")),
+            None => respond_error(out, 404, &format!("unknown job {id}")),
             Some(Err(CompareError::Running(status))) => {
-                respond_json(stream, 409, &job_status_json(&status));
+                respond_json(out, 409, &job_status_json(&status));
             }
-            Some(Err(CompareError::NotComparable(msg))) => respond_error(stream, 400, &msg),
-            Some(Ok(report)) => respond_json(stream, 200, &report),
+            Some(Err(CompareError::NotComparable(msg))) => respond_error(out, 400, &msg),
+            Some(Ok(report)) => respond_json(out, 200, &report),
         },
         JobQuery::Status => match engine.job_status(id) {
-            None => respond_error(stream, 404, &format!("unknown job {id}")),
-            Some(status) => respond_json(stream, 200, &job_status_json(&status)),
+            None => respond_error(out, 404, &format!("unknown job {id}")),
+            Some(status) => respond_json(out, 200, &job_status_json(&status)),
         },
     }
 }
@@ -750,20 +805,29 @@ fn cache_stats_json(stats: &CacheStats, engine: &Engine) -> String {
     )
 }
 
-fn respond_json(stream: &mut TcpStream, status: u16, body: &str) {
-    write_response(stream, status, "application/json", body.as_bytes()).ok();
+fn respond_json(out: &mut Reply<'_>, status: u16, body: &str) {
+    write_response(
+        out.stream,
+        status,
+        "application/json",
+        &[],
+        body.as_bytes(),
+        out.keep_alive,
+    )
+    .ok();
 }
 
-fn respond_error(stream: &mut TcpStream, status: u16, message: &str) {
+fn respond_error(out: &mut Reply<'_>, status: u16, message: &str) {
     let body = format!("{{\n  \"error\": \"{}\"\n}}\n", esc(message));
-    respond_json(stream, status, &body);
+    respond_json(out, status, &body);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::request;
+    use crate::http::{request, ClientConn};
     use crate::json::{parse, Value};
+    use std::io::Read;
     use std::time::{Duration, Instant};
 
     const SPEC: &str = "[scenario]\nmode = \"preset\"\npreset = \"bank_conflict\"\n\
@@ -945,7 +1009,6 @@ mod tests {
     #[test]
     fn saturated_server_sheds_data_routes_but_answers_healthz_and_shutdown() {
         use crate::http::request_meta;
-        use std::io::Write;
 
         let server = Server::bind_with(
             "127.0.0.1:0",
@@ -986,6 +1049,21 @@ mod tests {
         assert_eq!(status, 200, "healthz answers while saturated");
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
 
+        // A shed 503 closes its connection, even one asking to stay open.
+        let mut conn = ClientConn::open(addr, Duration::from_secs(5)).expect("connect");
+        let resp = conn
+            .exchange("GET", "/v1/cache/stats", b"", true)
+            .expect("exchange")
+            .expect("shed response");
+        assert_eq!(resp.status, 503);
+        assert!(!resp.keep_alive, "a shed 503 says Connection: close");
+        assert!(
+            conn.exchange("GET", "/v1/cache/stats", b"", true)
+                .expect("no timeout")
+                .is_none(),
+            "the server closed the shed connection"
+        );
+
         // ...and so does the stop switch: a shutdown is never locked out by
         // the very load it is supposed to relieve.
         let (status, body) =
@@ -998,7 +1076,6 @@ mod tests {
     #[test]
     fn cache_compact_and_sync_endpoints_work_end_to_end() {
         use crate::http::request_stream;
-        use std::io::Read;
 
         let dir = std::env::temp_dir().join(format!("malec_srv_lifecycle_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
@@ -1129,5 +1206,127 @@ mod tests {
             "in-flight work completed and persisted before exit"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes `raw` on a fresh connection and reads until the server
+    /// closes it.
+    fn raw_exchange(addr: SocketAddr, raw: &str) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        stream.write_all(raw.as_bytes()).expect("write");
+        let mut out = String::new();
+        stream
+            .read_to_string(&mut out)
+            .expect("the server closes the connection");
+        out
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order_on_one_connection() {
+        let server = start();
+        let addr = server.addr();
+        let out = raw_exchange(
+            addr,
+            "GET /v1/healthz HTTP/1.1\r\n\r\n\
+             GET /v1/jobs/77 HTTP/1.1\r\nConnection: close\r\n\r\n",
+        );
+        let (first, second) = out.split_at(out.find("HTTP/1.1 404").expect("second answer"));
+        assert!(first.starts_with("HTTP/1.1 200"), "{out}");
+        assert!(first.contains("Connection: keep-alive"), "{out}");
+        assert!(first.contains("\"ok\": true"), "{out}");
+        assert!(second.contains("Connection: close"), "{out}");
+        assert!(second.contains("unknown job 77"), "{out}");
+        request(addr, "POST", "/v1/shutdown?mode=abort", b"").expect("shutdown");
+        server.join().expect("clean exit");
+    }
+
+    #[test]
+    fn http_1_0_connection_close_and_shutdown_requests_are_answered_close() {
+        let server = start();
+        let addr = server.addr();
+        for raw in [
+            "GET /v1/healthz HTTP/1.0\r\n\r\n",
+            "GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            "GET /v1/healthz\r\n\r\n",
+            // A shutdown closes even a connection that asked to stay open.
+            "POST /v1/shutdown?mode=abort HTTP/1.1\r\n\r\n",
+        ] {
+            let out = raw_exchange(addr, raw);
+            assert!(out.starts_with("HTTP/1.1 200"), "{raw:?}: {out}");
+            assert!(out.contains("Connection: close"), "{raw:?}: {out}");
+        }
+        server.join().expect("clean exit");
+    }
+
+    #[test]
+    fn a_request_every_half_deadline_is_cut_off_at_the_connection_budget() {
+        let deadline = Duration::from_millis(400);
+        let server = Server::bind_with(
+            "127.0.0.1:0",
+            ServeOptions {
+                workers: Some(1),
+                request_deadline: deadline,
+                ..ServeOptions::default()
+            },
+        )
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+        let addr = server.addr();
+        let mut conn = ClientConn::open(addr, Duration::from_secs(5)).expect("connect");
+        let started = Instant::now();
+        let mut answered = 0;
+        // Every request arrives well inside any per-request timeout; only
+        // the connection's total budget ends this. Its end is silent: no
+        // 408 for a connection that was idle when the budget ran out.
+        while let Some(resp) = conn
+            .exchange("GET", "/v1/healthz", b"", true)
+            .expect("no timeout")
+        {
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            answered += 1;
+            assert!(answered <= 3, "the budget must cut the connection off");
+            std::thread::sleep(deadline / 2);
+        }
+        assert!(answered >= 2, "requests inside the budget are served");
+        assert!(started.elapsed() >= deadline, "{:?}", started.elapsed());
+        request(addr, "POST", "/v1/shutdown?mode=abort", b"").expect("shutdown");
+        server.join().expect("clean exit");
+    }
+
+    #[test]
+    fn respond_500_fires_per_request_on_a_reused_connection() {
+        let faults = Faults::disarmed();
+        faults.arm("http.respond.500", 2, None);
+        let server = Server::bind_with(
+            "127.0.0.1:0",
+            ServeOptions {
+                workers: Some(1),
+                faults: Arc::clone(&faults),
+                ..ServeOptions::default()
+            },
+        )
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+        let addr = server.addr();
+        let mut conn = ClientConn::open(addr, Duration::from_secs(5)).expect("connect");
+        let statuses: Vec<u16> = (0..3)
+            .map(|_| {
+                let resp = conn
+                    .exchange("GET", "/v1/healthz", b"", true)
+                    .expect("exchange")
+                    .expect("answered on the same connection");
+                assert!(resp.keep_alive, "a 500 keeps the connection");
+                resp.status
+            })
+            .collect();
+        assert_eq!(statuses, [200, 500, 200]);
+        assert_eq!(faults.hits("http.respond.500"), 3, "checked per request");
+        assert_eq!(faults.fired("http.respond.500"), 1);
+        request(addr, "POST", "/v1/shutdown?mode=abort", b"").expect("shutdown");
+        server.join().expect("clean exit");
     }
 }

@@ -439,7 +439,7 @@ fn crash_mid_append_recovers_warm_on_restart() {
 #[test]
 fn read_stall_delays_exactly_one_request_without_dropping_it() {
     let faults = Faults::disarmed();
-    faults.arm("http.read.stall", 1, Some(250)); // 1st connection stalls 250ms
+    faults.arm("http.read.stall", 1, Some(250)); // 1st request stalls 250ms
     let server = serve(ServeOptions {
         workers: Some(1),
         faults: std::sync::Arc::clone(&faults),
@@ -461,7 +461,7 @@ fn read_stall_delays_exactly_one_request_without_dropping_it() {
     assert_eq!(faults.fired("http.read.stall"), 1, "one-shot trigger");
     assert!(
         faults.hits("http.read.stall") >= 2,
-        "every connection is checked"
+        "every request is checked"
     );
 
     let client = Client::new(addr);
