@@ -221,13 +221,13 @@ impl BaselineInterface {
         }
     }
 
-    /// Translates a virtual line to a physical line via the page table
+    /// Translates a virtual line to a physical line via the MMU's page table
     /// (no TLB energy: the SB entry already carries the physical tag).
     fn physical_line(&self, vline: LineAddr) -> LineAddr {
         let page = self.config.page;
         let lines_per_page = u64::from(page.lines_per_page());
         let vpage = malec_types::addr::VPageId::new(vline.raw() / lines_per_page);
-        let ppage = malec_mem::tlb::PageTable::default().translate(vpage);
+        let ppage = self.mmu.physical_page(vpage);
         LineAddr::new(ppage.raw() * lines_per_page + vline.raw() % lines_per_page)
     }
 }

@@ -237,7 +237,8 @@ impl MalecInterface {
                 TranslationPath::TlbHit => {
                     // The WT entry travels with the TLB hit; install it as
                     // the page's uWT entry.
-                    let entry = wt.entry(t.tlb_slot).clone();
+                    let tslot = t.tlb_slot.expect("a TLB hit reports its slot");
+                    let entry = wt.entry(tslot).clone();
                     uwt.entry_mut(t.utlb_slot).copy_from(&entry);
                     self.counters.wt_reads += 1;
                     self.counters.uwt_writes += 1;
@@ -248,7 +249,8 @@ impl MalecInterface {
                     // is allocated with everything unknown). Invalidation is
                     // a flash-clear, priced as a slot update rather than a
                     // full-entry write.
-                    wt.entry_mut(t.tlb_slot).clear_all();
+                    let tslot = t.tlb_slot.expect("a walk reports its TLB slot");
+                    wt.entry_mut(tslot).clear_all();
                     self.counters.wt_bit_updates += 1;
                     uwt.entry_mut(t.utlb_slot).clear_all();
                     self.counters.uwt_bit_updates += 1;
@@ -888,6 +890,47 @@ mod tests {
         assert_eq!(i.stats().reduced_accesses, 0);
         // Discovery + conventional replay + the second access.
         assert_eq!(i.stats().conventional_accesses, 3);
+    }
+
+    #[test]
+    fn synonym_utlb_evictions_write_back_to_the_lowest_wt_slot() {
+        // vpages 70 and 432 share ppage 0x6768 under the default page
+        // table; a uWT write-back finds its WT entry by that ppage, so the
+        // eviction of either page lands in the lower TLB slot.
+        let (low, high) = (VPageId::new(70), VPageId::new(432));
+        let mut cfg = SimConfig::malec();
+        cfg.utlb_entries = 2;
+        let mut i = MalecInterface::new(&cfg, 1);
+        let a = i.translate_counted(low);
+        let b = i.translate_counted(high);
+        assert_eq!(a.ppage, b.ppage);
+        let (Some(low_tslot), Some(high_tslot)) = (a.tlb_slot, b.tlb_slot) else {
+            panic!("walks report their TLB slots");
+        };
+        assert!(low_tslot < high_tslot);
+        let mark = |i: &mut MalecInterface, uslot: usize, line: u8| {
+            let uwt = i.uwt.as_mut().expect("uWT configured");
+            assert!(uwt.entry_mut(uslot).set(line, WayId(0)));
+        };
+        let wt_way = |i: &MalecInterface, tslot: usize, line: u8| {
+            i.wt.as_ref().expect("WT configured").entry(tslot).get(line)
+        };
+
+        // Keep 70 hot so the clock evicts 432 first.
+        mark(&mut i, b.utlb_slot, 5);
+        assert_eq!(i.translate_counted(low).path, TranslationPath::MicroHit);
+        let t = i.translate_counted(VPageId::new(1));
+        assert_eq!(t.utlb_evicted.map(|(_, e)| e.vpage), Some(high));
+        assert_eq!(wt_way(&i, low_tslot, 5), Some(WayId(0)));
+        assert_eq!(wt_way(&i, high_tslot, 5), None);
+
+        // 70's second chance is spent: the next fill evicts it, and its
+        // entry also goes to the lower slot.
+        mark(&mut i, a.utlb_slot, 6);
+        let t = i.translate_counted(VPageId::new(2));
+        assert_eq!(t.utlb_evicted.map(|(_, e)| e.vpage), Some(low));
+        assert_eq!(wt_way(&i, low_tslot, 6), Some(WayId(0)));
+        assert_eq!(wt_way(&i, high_tslot, 6), None);
     }
 
     #[test]

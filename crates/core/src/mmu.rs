@@ -28,6 +28,11 @@ impl TranslationPath {
 }
 
 /// Result of translating one virtual page.
+///
+/// `tlb_slot` is `Some` exactly on the [`TranslationPath::TlbHit`] and
+/// [`TranslationPath::Walk`] paths, the ones that touch the TLB and so its
+/// WT entry. A uTLB hit leaves it `None`: finding the TLB slot would take a
+/// reverse lookup that nothing on that path needs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Translation {
     /// The physical page.
@@ -36,8 +41,9 @@ pub struct Translation {
     pub path: TranslationPath,
     /// uTLB slot now holding the translation (way tables mirror slots).
     pub utlb_slot: usize,
-    /// TLB slot now holding the translation.
-    pub tlb_slot: usize,
+    /// TLB slot now holding the translation, on the paths that touched the
+    /// TLB (`None` on a uTLB hit).
+    pub tlb_slot: Option<usize>,
     /// uTLB entry evicted to make room (its uWT entry must sync to the WT).
     pub utlb_evicted: Option<(usize, TlbEntry)>,
     /// TLB entry evicted (its WT entry is lost; any uTLB copy dies too).
@@ -67,16 +73,11 @@ impl Mmu {
     /// the way tables need.
     pub fn translate(&mut self, vpage: VPageId) -> Translation {
         if let Some((slot, entry)) = self.utlb.lookup(vpage) {
-            let tlb_slot = self
-                .tlb
-                .lookup_by_ppage(entry.ppage)
-                .map(|(s, _)| s)
-                .unwrap_or(usize::MAX);
             return Translation {
                 ppage: entry.ppage,
                 path: TranslationPath::MicroHit,
                 utlb_slot: slot,
-                tlb_slot,
+                tlb_slot: None,
                 utlb_evicted: None,
                 tlb_evicted: None,
             };
@@ -89,7 +90,7 @@ impl Mmu {
                 ppage: entry.ppage,
                 path: TranslationPath::TlbHit,
                 utlb_slot: ev.slot,
-                tlb_slot,
+                tlb_slot: Some(tlb_slot),
                 utlb_evicted: ev.evicted.map(|e| (ev.slot, e)),
                 tlb_evicted: None,
             };
@@ -101,9 +102,7 @@ impl Mmu {
         // A TLB eviction kills any uTLB copy of the evicted page.
         let mut tlb_evicted = None;
         if let Some(evicted) = tlb_ev.evicted {
-            if let Some(slot) = self.utlb.slot_of(evicted.vpage) {
-                self.utlb.invalidate_slot(slot);
-            }
+            self.utlb.invalidate(evicted.vpage);
             tlb_evicted = Some((tlb_ev.slot, evicted));
         }
         let u_ev = self.utlb.insert(vpage, ppage);
@@ -111,19 +110,27 @@ impl Mmu {
             ppage,
             path: TranslationPath::Walk,
             utlb_slot: u_ev.slot,
-            tlb_slot: tlb_ev.slot,
+            tlb_slot: Some(tlb_ev.slot),
             utlb_evicted: u_ev.evicted.map(|e| (u_ev.slot, e)),
             tlb_evicted,
         }
     }
 
+    /// The physical page the page table maps `vpage` to, without touching
+    /// either TLB or their statistics.
+    pub fn physical_page(&self, vpage: VPageId) -> PPageId {
+        self.page_table.translate(vpage)
+    }
+
     /// Reverse lookup by physical page in the uTLB (for way-table validity
-    /// maintenance on line fills/evictions).
+    /// maintenance on line fills/evictions). Of several synonyms, the
+    /// lowest slot answers.
     pub fn utlb_slot_of_ppage(&self, ppage: PPageId) -> Option<usize> {
         self.utlb.lookup_by_ppage(ppage).map(|(s, _)| s)
     }
 
-    /// Reverse lookup by physical page in the TLB.
+    /// Reverse lookup by physical page in the TLB; of several synonyms,
+    /// the lowest slot answers.
     pub fn tlb_slot_of_ppage(&self, ppage: PPageId) -> Option<usize> {
         self.tlb.lookup_by_ppage(ppage).map(|(s, _)| s)
     }
@@ -198,6 +205,10 @@ mod tests {
         // Insert a fifth page: some page is evicted from the TLB.
         let t = m.translate(VPageId::new(4));
         let (_, evicted) = t.tlb_evicted.expect("TLB eviction expected");
+        // Page v sat in uTLB slot v: the new page takes that freed slot
+        // instead of evicting a live uTLB entry.
+        assert_eq!(t.utlb_evicted, None);
+        assert_eq!(t.utlb_slot as u64, evicted.vpage.raw());
         // The evicted page must no longer hit the uTLB either.
         let again = m.translate(evicted.vpage);
         assert_ne!(again.path, TranslationPath::MicroHit);
@@ -209,8 +220,50 @@ mod tests {
         let v = VPageId::new(0x77);
         let t = m.translate(v);
         assert_eq!(m.utlb_slot_of_ppage(t.ppage), Some(t.utlb_slot));
-        assert_eq!(m.tlb_slot_of_ppage(t.ppage), Some(t.tlb_slot));
+        assert_eq!(m.tlb_slot_of_ppage(t.ppage), t.tlb_slot);
         assert_eq!(m.utlb_slot_of_ppage(PPageId::new(0xffff_1234)), None);
+    }
+
+    /// vpages 70 and 432 share ppage 0x6768 under the default page table.
+    const SYNONYMS: [u64; 2] = [70, 432];
+    const SYNONYM_PPAGE: u64 = 0x6768;
+
+    #[test]
+    fn synonym_reverse_lookups_resolve_to_the_lowest_slot() {
+        let pt = PageTable::default();
+        for v in SYNONYMS {
+            assert_eq!(pt.translate(VPageId::new(v)).raw(), SYNONYM_PPAGE);
+        }
+        let shared = PPageId::new(SYNONYM_PPAGE);
+        let mut m = mmu();
+        // Fill order: 70 takes the lower uTLB and TLB slots.
+        let a = m.translate(VPageId::new(SYNONYMS[0]));
+        let b = m.translate(VPageId::new(SYNONYMS[1]));
+        assert!(a.utlb_slot < b.utlb_slot);
+        assert_eq!(m.utlb_slot_of_ppage(shared), Some(a.utlb_slot));
+        assert_eq!(m.tlb_slot_of_ppage(shared), a.tlb_slot);
+        // Now move 70 above 432 in the uTLB: fill it, keep 432 hot, push
+        // 70 out (the clock hand starts at slot 0), then bring it back into
+        // the slot the clock frees next.
+        m.translate(VPageId::new(1));
+        m.translate(VPageId::new(2));
+        assert_eq!(
+            m.translate(VPageId::new(SYNONYMS[1])).path,
+            TranslationPath::MicroHit
+        );
+        let pushed = m.translate(VPageId::new(3));
+        assert_eq!(
+            pushed.utlb_evicted.map(|(_, e)| e.vpage.raw()),
+            Some(SYNONYMS[0])
+        );
+        let back = m.translate(VPageId::new(SYNONYMS[0]));
+        assert_eq!(back.path, TranslationPath::TlbHit);
+        assert!(
+            back.utlb_slot > b.utlb_slot,
+            "most recent fill is the higher slot"
+        );
+        assert_eq!(m.utlb_slot_of_ppage(shared), Some(b.utlb_slot));
+        assert_eq!(m.tlb_slot_of_ppage(shared), a.tlb_slot);
     }
 
     #[test]

@@ -6,10 +6,29 @@
 //! (the uWT must sync to the WT, the WT entry must be invalidated), and
 //! support **reverse lookups by physical page** — cache line fills and
 //! evictions carry physical tags only (Sec. V).
+//!
+//! Every L1 access translates, so both TLBs find a virtual page through a
+//! hashed vpage → slot index (open addressing over a power-of-two bucket
+//! array) instead of scanning their slots. Virtual pages are unique within
+//! a TLB, so the index is exact: one page, one slot. The main TLB never
+//! frees a slot, so its next free slot is a fill counter. Reverse lookups
+//! scan a packed array of physical tags.
+//!
+//! **Synonyms.** [`PageTable::translate`] is not injective (vpages 70 and
+//! 432 both map to ppage `0x6768`), so two resident pages can share a
+//! physical page. A reverse lookup then answers with the **lowest**
+//! matching slot, and every way-table update keyed by that ppage lands in
+//! that slot's entry.
+//!
+//! The scanning TLBs the index replaced live on as a test-only oracle
+//! (`tlb/reference.rs`).
 
 use malec_types::addr::{PPageId, VPageId};
 
 use crate::replacement::{SecondChance, SeededRandom};
+
+#[cfg(test)]
+mod reference;
 
 /// A deterministic virtual→physical mapping standing in for the OS page
 /// table. The mapping is a fixed bijective-ish hash, so identical traces
@@ -75,6 +94,164 @@ pub struct TlbEvent {
     pub evicted: Option<TlbEntry>,
 }
 
+/// Empty-bucket marker in [`SlotIndex`].
+const VACANT: u32 = u32::MAX;
+
+/// Exact virtual page → slot map: open addressing with linear probing over
+/// a power-of-two bucket array at most a quarter full, and backward-shift
+/// deletion, so no tombstones build up and a probe always meets a vacant
+/// bucket. A bucket is a packed `u64` page tag plus its slot (`VACANT`
+/// when empty), kept in two parallel arrays.
+#[derive(Clone, Debug)]
+struct SlotIndex {
+    tags: Vec<u64>,
+    slots: Vec<u32>,
+    mask: usize,
+    shift: u32,
+}
+
+impl SlotIndex {
+    fn new(capacity: usize) -> Self {
+        assert!(capacity < VACANT as usize, "TLB too large to index");
+        let buckets = (capacity * 4).next_power_of_two();
+        Self {
+            tags: vec![0; buckets],
+            slots: vec![VACANT; buckets],
+            mask: buckets - 1,
+            shift: u64::BITS - buckets.trailing_zeros(),
+        }
+    }
+
+    /// Multiplicative (Fibonacci) hash: the top bits of `tag * 2^64/phi`.
+    fn home(&self, tag: u64) -> usize {
+        (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The bucket holding `tag`, or the vacant bucket that ends its probe.
+    fn probe(&self, tag: u64) -> usize {
+        let mut b = self.home(tag);
+        while self.slots[b] != VACANT && self.tags[b] != tag {
+            b = (b + 1) & self.mask;
+        }
+        b
+    }
+
+    fn get(&self, vpage: VPageId) -> Option<usize> {
+        let slot = self.slots[self.probe(vpage.raw())];
+        (slot != VACANT).then_some(slot as usize)
+    }
+
+    /// Maps an absent `vpage` to `slot`.
+    fn insert(&mut self, vpage: VPageId, slot: usize) {
+        let b = self.probe(vpage.raw());
+        debug_assert_eq!(self.slots[b], VACANT, "vpage already indexed");
+        self.tags[b] = vpage.raw();
+        self.slots[b] = slot as u32;
+    }
+
+    /// Unmaps `vpage`, returning its slot, and shifts later members of
+    /// its cluster back so every remaining probe chain stays unbroken.
+    fn remove(&mut self, vpage: VPageId) -> Option<usize> {
+        let mut hole = self.probe(vpage.raw());
+        let slot = self.slots[hole];
+        if slot == VACANT {
+            return None;
+        }
+        let mut b = hole;
+        loop {
+            b = (b + 1) & self.mask;
+            if self.slots[b] == VACANT {
+                break;
+            }
+            // The member at `b` may fill the hole unless its home lies
+            // cyclically in (hole, b].
+            let from_home = b.wrapping_sub(self.home(self.tags[b])) & self.mask;
+            if from_home >= (b.wrapping_sub(hole) & self.mask) {
+                self.tags[hole] = self.tags[b];
+                self.slots[hole] = self.slots[b];
+                hole = b;
+            }
+        }
+        self.slots[hole] = VACANT;
+        Some(slot as usize)
+    }
+}
+
+/// The slot array both TLBs share: entries, their physical tags packed for
+/// the reverse scan, and the vpage index, kept in step by [`Self::set`]
+/// and [`Self::take`].
+#[derive(Clone, Debug)]
+struct Slots {
+    entries: Vec<Option<TlbEntry>>,
+    /// Physical tag of each slot's entry; stale in free slots.
+    ppages: Vec<u64>,
+    index: SlotIndex,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl Slots {
+    fn new(capacity: usize) -> Self {
+        Self {
+            entries: vec![None; capacity],
+            ppages: vec![0; capacity],
+            index: SlotIndex::new(capacity),
+            len: 0,
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn is_full(&self) -> bool {
+        self.len == self.entries.len()
+    }
+
+    fn entry(&self, slot: usize) -> Option<TlbEntry> {
+        self.entries.get(slot).copied().flatten()
+    }
+
+    fn find(&self, vpage: VPageId) -> Option<(usize, TlbEntry)> {
+        let slot = self.index.get(vpage)?;
+        Some((slot, self.entries[slot].expect("indexed slot is occupied")))
+    }
+
+    /// The lowest occupied slot holding `ppage`: synonyms resolve to it.
+    /// Scans the packed tags; a free slot's stale tag is skipped on match.
+    fn find_ppage(&self, ppage: PPageId) -> Option<(usize, TlbEntry)> {
+        self.ppages
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| p == ppage.raw())
+            .find_map(|(slot, _)| self.entries[slot].map(|e| (slot, e)))
+    }
+
+    /// Installs `entry` in `slot`, returning the entry it replaces.
+    fn set(&mut self, slot: usize, entry: TlbEntry) -> Option<TlbEntry> {
+        let old = self.entries[slot].replace(entry);
+        match old {
+            Some(old) => {
+                self.index.remove(old.vpage);
+            }
+            None => self.len += 1,
+        }
+        self.index.insert(entry.vpage, slot);
+        self.ppages[slot] = entry.ppage.raw();
+        old
+    }
+
+    /// Frees the slot holding `vpage`, returning it and its entry.
+    fn take(&mut self, vpage: VPageId) -> Option<(usize, TlbEntry)> {
+        let slot = self.index.remove(vpage)?;
+        self.len -= 1;
+        Some((
+            slot,
+            self.entries[slot].take().expect("indexed slot is occupied"),
+        ))
+    }
+}
+
 /// The main TLB: fully associative with seeded-random replacement (Sec. V).
 ///
 /// # Example
@@ -92,7 +269,7 @@ pub struct TlbEvent {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    entries: Vec<Option<TlbEntry>>,
+    slots: Slots,
     policy: SeededRandom,
     hits: u64,
     misses: u64,
@@ -108,7 +285,7 @@ impl Tlb {
     pub fn new(entries: usize, seed: u64) -> Self {
         assert!(entries > 0, "TLB needs entries");
         Self {
-            entries: vec![None; entries],
+            slots: Slots::new(entries),
             policy: SeededRandom::new(seed),
             hits: 0,
             misses: 0,
@@ -117,16 +294,12 @@ impl Tlb {
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.entries.len()
+        self.slots.capacity()
     }
 
     /// Looks up a virtual page; returns `(slot, entry)` on a hit.
     pub fn lookup(&mut self, vpage: VPageId) -> Option<(usize, TlbEntry)> {
-        let found = self
-            .entries
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| e.filter(|e| e.vpage == vpage).map(|e| (i, e)));
+        let found = self.slots.find(vpage);
         if found.is_some() {
             self.hits += 1;
         } else {
@@ -136,42 +309,38 @@ impl Tlb {
     }
 
     /// Reverse lookup by physical page (used on line fills/evictions);
-    /// does not perturb statistics — it is a different tag array.
+    /// does not perturb statistics — it is a different tag array. Of
+    /// several synonyms, the lowest slot answers.
     pub fn lookup_by_ppage(&self, ppage: PPageId) -> Option<(usize, TlbEntry)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| e.filter(|e| e.ppage == ppage).map(|e| (i, e)))
+        self.slots.find_ppage(ppage)
     }
 
     /// Installs a translation, preferring a free slot, else evicting a
     /// random victim.
     pub fn insert(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
-        if let Some((slot, _)) = self
-            .entries
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| e.filter(|e| e.vpage == vpage).map(|e| (i, e)))
-        {
+        let entry = TlbEntry { vpage, ppage };
+        if let Some((slot, _)) = self.slots.find(vpage) {
             // Refresh of an existing translation.
-            self.entries[slot] = Some(TlbEntry { vpage, ppage });
+            self.slots.set(slot, entry);
             return TlbEvent {
                 slot,
                 evicted: None,
             };
         }
-        let slot = match self.entries.iter().position(Option::is_none) {
-            Some(free) => free,
-            None => self.policy.victim(self.entries.len()),
+        // The TLB never frees a slot, so the free ones are the tail and
+        // the lowest is the fill count.
+        let slot = if self.slots.is_full() {
+            self.policy.victim(self.slots.capacity())
+        } else {
+            self.slots.len
         };
-        let evicted = self.entries[slot];
-        self.entries[slot] = Some(TlbEntry { vpage, ppage });
+        let evicted = self.slots.set(slot, entry);
         TlbEvent { slot, evicted }
     }
 
     /// Entry currently in `slot`.
     pub fn entry(&self, slot: usize) -> Option<TlbEntry> {
-        self.entries.get(slot).copied().flatten()
+        self.slots.entry(slot)
     }
 
     /// Lookup hits so far.
@@ -190,7 +359,7 @@ impl Tlb {
 /// therefore uWT→WT full-entry synchronization transfers (Sec. V).
 #[derive(Clone, Debug)]
 pub struct MicroTlb {
-    entries: Vec<Option<TlbEntry>>,
+    slots: Slots,
     policy: SecondChance,
     hits: u64,
     misses: u64,
@@ -205,7 +374,7 @@ impl MicroTlb {
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "uTLB needs entries");
         Self {
-            entries: vec![None; entries],
+            slots: Slots::new(entries),
             policy: SecondChance::new(entries),
             hits: 0,
             misses: 0,
@@ -214,16 +383,12 @@ impl MicroTlb {
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.entries.len()
+        self.slots.capacity()
     }
 
     /// Looks up a virtual page; a hit marks the slot referenced.
     pub fn lookup(&mut self, vpage: VPageId) -> Option<(usize, TlbEntry)> {
-        let found = self
-            .entries
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| e.filter(|e| e.vpage == vpage).map(|e| (i, e)));
+        let found = self.slots.find(vpage);
         if let Some((slot, _)) = found {
             self.hits += 1;
             self.policy.touch(slot);
@@ -233,59 +398,51 @@ impl MicroTlb {
         found
     }
 
-    /// Reverse lookup by physical page.
+    /// Reverse lookup by physical page. Of several synonyms, the lowest
+    /// slot answers.
     pub fn lookup_by_ppage(&self, ppage: PPageId) -> Option<(usize, TlbEntry)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| e.filter(|e| e.ppage == ppage).map(|e| (i, e)))
+        self.slots.find_ppage(ppage)
     }
 
     /// Installs a translation, preferring a free slot, else the
     /// second-chance victim. The evicted entry (if any) must be synced to
     /// the WT by the caller.
     pub fn insert(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
-        if let Some((slot, _)) = self
-            .entries
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| e.filter(|e| e.vpage == vpage).map(|e| (i, e)))
-        {
-            self.entries[slot] = Some(TlbEntry { vpage, ppage });
+        let entry = TlbEntry { vpage, ppage };
+        if let Some((slot, _)) = self.slots.find(vpage) {
+            self.slots.set(slot, entry);
             self.policy.touch(slot);
             return TlbEvent {
                 slot,
                 evicted: None,
             };
         }
-        let slot = match self.entries.iter().position(Option::is_none) {
-            Some(free) => free,
-            None => self.policy.victim(),
+        let slot = if self.slots.is_full() {
+            self.policy.victim()
+        } else {
+            self.slots
+                .entries
+                .iter()
+                .position(Option::is_none)
+                .expect("a slot is free below capacity")
         };
-        let evicted = self.entries[slot];
-        self.entries[slot] = Some(TlbEntry { vpage, ppage });
+        let evicted = self.slots.set(slot, entry);
         // The reference bit stays clear on insertion: only a subsequent hit
         // marks the page hot. This is what lets the clock distinguish
         // streaming pages (touched once) from re-used ones.
         TlbEvent { slot, evicted }
     }
 
-    /// Removes the translation in `slot` (e.g. when the main TLB evicted the
-    /// page), returning it.
-    pub fn invalidate_slot(&mut self, slot: usize) -> Option<TlbEntry> {
-        self.entries.get_mut(slot).and_then(Option::take)
-    }
-
-    /// Finds the slot holding `vpage` without statistics side effects.
-    pub fn slot_of(&self, vpage: VPageId) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.map(|e| e.vpage) == Some(vpage))
+    /// Removes the translation of `vpage` (e.g. when the main TLB evicted
+    /// the page) without statistics side effects, returning the slot it
+    /// held and the entry.
+    pub fn invalidate(&mut self, vpage: VPageId) -> Option<(usize, TlbEntry)> {
+        self.slots.take(vpage)
     }
 
     /// Entry currently in `slot`.
     pub fn entry(&self, slot: usize) -> Option<TlbEntry> {
-        self.entries.get(slot).copied().flatten()
+        self.slots.entry(slot)
     }
 
     /// Lookup hits so far.
@@ -303,6 +460,7 @@ impl MicroTlb {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::rng::TestRng;
 
     #[test]
     fn page_table_is_deterministic_and_in_range() {
@@ -388,21 +546,147 @@ mod tests {
     fn utlb_invalidate_slot() {
         let mut utlb = MicroTlb::new(4);
         let ev = utlb.insert(VPageId::new(5), PPageId::new(50));
-        let removed = utlb.invalidate_slot(ev.slot).expect("entry present");
+        let (slot, removed) = utlb.invalidate(VPageId::new(5)).expect("entry present");
+        assert_eq!(slot, ev.slot);
         assert_eq!(removed.vpage, VPageId::new(5));
+        assert_eq!(utlb.entry(slot), None);
         assert!(utlb.lookup(VPageId::new(5)).is_none());
-        assert!(utlb.invalidate_slot(ev.slot).is_none());
+        assert!(utlb.invalidate(VPageId::new(5)).is_none());
+        assert!(utlb.invalidate(VPageId::new(9)).is_none());
+        // The freed slot is the next one filled.
+        assert_eq!(utlb.insert(VPageId::new(6), PPageId::new(60)).slot, slot);
     }
 
-    #[test]
-    fn utlb_slot_of_matches_lookup() {
-        let mut utlb = MicroTlb::new(4);
-        let ev = utlb.insert(VPageId::new(8), PPageId::new(80));
-        assert_eq!(utlb.slot_of(VPageId::new(8)), Some(ev.slot));
-        assert_eq!(utlb.slot_of(VPageId::new(9)), None);
+    /// One call on a TLB under test and on its scanning reference.
+    #[derive(Clone, Copy, Debug)]
+    enum TlbOp {
+        Insert(u64, u64),
+        Lookup(u64),
+        Reverse(u64),
+        /// uTLB only; the main TLB treats it as a lookup.
+        Invalidate(u64),
+    }
+
+    /// A capacity in 1..=64, a replacement seed, and up to 400 calls over
+    /// 2·cap+2 virtual pages but only cap/2+1 physical pages, so refreshes,
+    /// evictions and synonyms are all common.
+    struct TlbCases;
+
+    impl Strategy for TlbCases {
+        type Value = (usize, u64, Vec<TlbOp>);
+
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            let cap = (1usize..65).generate(rng);
+            let seed = rng.next_u64();
+            let (vpages, ppages) = (2 * cap as u64 + 2, cap as u64 / 2 + 1);
+            let len = (0usize..400).generate(rng);
+            let ops = (0..len)
+                .map(|_| {
+                    let v = (0..vpages).generate(rng);
+                    let p = (0..ppages).generate(rng);
+                    match (0u8..9).generate(rng) {
+                        0..=2 => TlbOp::Insert(v, p),
+                        3..=5 => TlbOp::Lookup(v),
+                        6..=7 => TlbOp::Reverse(p),
+                        _ => TlbOp::Invalidate(v),
+                    }
+                })
+                .collect();
+            (cap, seed, ops)
+        }
     }
 
     proptest! {
+        #[test]
+        fn prop_indexed_tlb_matches_the_scanning_reference(case in TlbCases) {
+            let (cap, seed, ops) = case;
+            let mut tlb = Tlb::new(cap, seed);
+            let mut oracle = reference::Tlb::new(cap, seed);
+            prop_assert_eq!(tlb.capacity(), oracle.capacity());
+            for op in ops {
+                match op {
+                    TlbOp::Insert(v, p) => {
+                        let (v, p) = (VPageId::new(v), PPageId::new(p));
+                        prop_assert_eq!(tlb.insert(v, p), oracle.insert(v, p), "{:?}", op);
+                    }
+                    TlbOp::Lookup(v) | TlbOp::Invalidate(v) => {
+                        let v = VPageId::new(v);
+                        prop_assert_eq!(tlb.lookup(v), oracle.lookup(v), "{:?}", op);
+                    }
+                    TlbOp::Reverse(p) => {
+                        let p = PPageId::new(p);
+                        prop_assert_eq!(
+                            tlb.lookup_by_ppage(p), oracle.lookup_by_ppage(p), "{:?}", op
+                        );
+                    }
+                }
+                prop_assert_eq!((tlb.hits(), tlb.misses()), (oracle.hits(), oracle.misses()));
+            }
+            for slot in 0..=cap {
+                prop_assert_eq!(tlb.entry(slot), oracle.entry(slot));
+            }
+        }
+
+        #[test]
+        fn prop_indexed_utlb_matches_the_scanning_reference(case in TlbCases) {
+            let (cap, _, ops) = case;
+            let mut utlb = MicroTlb::new(cap);
+            let mut oracle = reference::MicroTlb::new(cap);
+            prop_assert_eq!(utlb.capacity(), oracle.capacity());
+            for op in ops {
+                match op {
+                    TlbOp::Insert(v, p) => {
+                        let (v, p) = (VPageId::new(v), PPageId::new(p));
+                        prop_assert_eq!(utlb.insert(v, p), oracle.insert(v, p), "{:?}", op);
+                    }
+                    TlbOp::Lookup(v) => {
+                        let v = VPageId::new(v);
+                        prop_assert_eq!(utlb.lookup(v), oracle.lookup(v), "{:?}", op);
+                    }
+                    TlbOp::Reverse(p) => {
+                        let p = PPageId::new(p);
+                        prop_assert_eq!(
+                            utlb.lookup_by_ppage(p), oracle.lookup_by_ppage(p), "{:?}", op
+                        );
+                    }
+                    TlbOp::Invalidate(v) => {
+                        let v = VPageId::new(v);
+                        let expected = oracle.slot_of(v).map(|slot| {
+                            (slot, oracle.invalidate_slot(slot).expect("slot_of found it"))
+                        });
+                        prop_assert_eq!(utlb.invalidate(v), expected, "{:?}", op);
+                    }
+                }
+                prop_assert_eq!((utlb.hits(), utlb.misses()), (oracle.hits(), oracle.misses()));
+            }
+            for slot in 0..=cap {
+                prop_assert_eq!(utlb.entry(slot), oracle.entry(slot));
+            }
+        }
+
+        #[test]
+        fn prop_slot_index_matches_a_map(
+            ops in proptest::collection::vec((0u64..40, 0u8..2), 0..300)
+        ) {
+            // Capacity 8 (32 buckets) over 40 keys: long clusters, and
+            // removals from their middles.
+            let mut index = SlotIndex::new(8);
+            let mut model = std::collections::BTreeMap::new();
+            for (k, add) in ops {
+                let v = VPageId::new(k);
+                if add == 1 && model.len() < 8 && !model.contains_key(&k) {
+                    let slot = model.len();
+                    index.insert(v, slot);
+                    model.insert(k, slot);
+                } else {
+                    prop_assert_eq!(index.remove(v), model.remove(&k));
+                }
+                for key in 0..40u64 {
+                    prop_assert_eq!(index.get(VPageId::new(key)), model.get(&key).copied());
+                }
+            }
+        }
+
         #[test]
         fn prop_tlb_never_holds_duplicate_vpages(
             inserts in proptest::collection::vec(0u64..32, 0..128)
